@@ -36,25 +36,11 @@ inline par::SchedulerOptions schedulerOptions(const CliArgs& args) {
 ///                         the paper keeps its fixed interleaved order, and
 ///                         paper-table reproduction depends on that)
 ///   --reorder-trigger K   live-node growth factor arming a sift (default 2.0)
-///   --apply-workers N     intra-problem parallel apply workers sharing one
-///                         manager (default 1 = the byte-identical serial
-///                         path; see docs/parallel.md)
-///   --spill-dir DIR       arm the spill-to-disk tier: page the node arena
-///                         to DIR instead of aborting at the node cap
-///                         (docs/external_memory.md)
-///   --spill-threshold N   resident-arena budget in nodes once armed
-///                         (default 0 = spill only where --max-nodes would
-///                         otherwise abort the cell)
 inline BddOptions bddOptions(const CliArgs& args) {
   BddOptions options;
   options.autoReorder = args.getBool("auto-reorder", options.autoReorder);
   options.reorderTrigger =
       args.getDouble("reorder-trigger", options.reorderTrigger);
-  options.applyWorkers = static_cast<unsigned>(
-      args.getInt("apply-workers", options.applyWorkers));
-  options.spillDir = args.getString("spill-dir", "");
-  options.spillThresholdNodes = static_cast<std::uint64_t>(
-      args.getInt("spill-threshold", 0));
   return options;
 }
 
@@ -108,7 +94,6 @@ inline void addResultRow(TextTable& table, const EngineResult& r) {
       time = formatMinSec(r.seconds);
       iters = std::to_string(r.iterations);
       mem = formatKb(r.memBytesEstimate);
-      if (r.spilled) mem += " (spilled)";
       nodes = std::to_string(r.peakIterateNodes);
       const std::string breakdown = describeMemberSizes(r);
       if (!breakdown.empty()) nodes += " " + breakdown;
@@ -212,7 +197,6 @@ class BenchReport {
               .put("time_s", r.seconds)
               .put("iterations", r.iterations)
               .put("mem_bytes", r.memBytesEstimate)
-              .put("spilled", r.spilled)
               .put("peak_iterate_nodes", r.peakIterateNodes)
               .putRaw("member_sizes", obs::jsonArray(r.peakIterateMemberSizes))
               .put("peak_allocated_nodes", r.peakAllocatedNodes)

@@ -118,7 +118,7 @@ def percentile(sorted_values: list[float], q: float) -> float:
     return sorted_values[idx]
 
 
-def job_line(i: int, fail: bool, spill: bool = False) -> str:
+def job_line(i: int, fail: bool) -> str:
     if fail:
         # An unknown model passes admission and fails in the worker: the
         # job_failed path must reconcile exactly like the completed one.
@@ -131,8 +131,6 @@ def job_line(i: int, fail: bool, spill: bool = False) -> str:
         "width": 4,
         "want_trace": False,
     }
-    if spill:
-        req["spill"] = True
     return json.dumps(req)
 
 
@@ -143,14 +141,6 @@ def main() -> int:
     ap.add_argument("--workers", type=int, default=4)
     ap.add_argument("--failures", type=int, default=8,
                     help="jobs submitted with an unknown model (job_failed path)")
-    ap.add_argument("--apply-workers", type=int, default=0,
-                    help="intra-problem apply workers per job "
-                         "(icbdd_serve --apply-workers; 0 = serial)")
-    ap.add_argument("--spill", action="store_true",
-                    help="submit every job with \"spill\": true against a "
-                         "spill-enabled service and reconcile the "
-                         "svc.jobs.spilled / bdd.xmem.* counters "
-                         "(docs/external_memory.md)")
     ap.add_argument("--timeout", type=float, default=300.0)
     ap.add_argument("--summary-json", default="")
     args = ap.parse_args()
@@ -180,14 +170,6 @@ def main() -> int:
         cmd = [args.serve, "--workers", str(args.workers),
                "--queue-bound", str(args.jobs + 8),
                "--journal", journal, "--metrics-port", "0"]
-        if args.apply_workers > 0:
-            cmd += ["--apply-workers", str(args.apply_workers)]
-        if args.spill:
-            # A threshold below even the model build guarantees every
-            # spill-requesting job engages the tier, exercising the
-            # spilled-result plumbing and metric fold-in end to end.
-            cmd += ["--spill-dir", f"{journal}/spill",
-                    "--spill-threshold-nodes", "64"]
         proc = subprocess.Popen(
             cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
         start = json.loads(proc.stdout.readline())
@@ -201,7 +183,7 @@ def main() -> int:
         for i in range(args.jobs):
             fail = i % max(1, args.jobs // max(1, args.failures)) == 1 \
                 if args.failures else False
-            proc.stdin.write(job_line(i, fail, args.spill) + "\n")
+            proc.stdin.write(job_line(i, fail) + "\n")
         proc.stdin.flush()
 
         def scrape(path="/metrics"):
@@ -257,16 +239,6 @@ def main() -> int:
         got = prev_samples.get(key, 0.0)
         if got != want:
             errors.append(f"{key}: prometheus says {got}, NDJSON says {want}")
-    if args.spill:
-        # Every completed job requested the tier and the threshold sits
-        # below the model build, so all of them must have engaged it, and
-        # the per-job pager counters must have been folded into the scrape.
-        got = prev_samples.get("icbdd_svc_jobs_spilled", 0.0)
-        if got != completed:
-            errors.append(f"icbdd_svc_jobs_spilled: prometheus says {got}, "
-                          f"want {completed}")
-        if "icbdd_bdd_xmem_spill_bytes" not in prev_samples:
-            errors.append("spill soak exposed no icbdd_bdd_xmem_spill_bytes")
     if stop_line.get("jobs_completed") != completed:
         errors.append(f"service_stop jobs_completed {stop_line.get('jobs_completed')}"
                       f" != {completed}")
@@ -275,7 +247,6 @@ def main() -> int:
     summary = {
         "jobs": args.jobs,
         "workers": args.workers,
-        "apply_workers": args.apply_workers,
         "accepted": accepted,
         "completed": completed,
         "failed": failed,

@@ -5,7 +5,7 @@
 # minimal machines; CI runs the full set.
 #
 # Usage: ci/run_checks.sh [release|sanitize|tsan|lint|lint-strict|bench|
-#                          parallel|spill|svc|loadgen|all]
+#                          svc|loadgen|all]
 # (default: all)
 set -euo pipefail
 
@@ -41,17 +41,16 @@ for c in cells:
     for key in ('group', 'method', 'verdict', 'time_s', 'iterations',
                 'peak_iterate_nodes', 'member_sizes', 'metrics'):
         assert key in c, (key, c)
-    # Packed 16-byte nodes plus the true-footprint terms (refcount side
-    # table, unique-table buckets, page-table overhead): mem_bytes is at
-    # least the packed arena, never again the old 24-bytes/node layout and
-    # never *under* the arena it accounts for (docs/node_layout.md).
+    # Packed 16-byte nodes plus the true-footprint term (refcount side
+    # table): mem_bytes is at least the packed arena, never again the old
+    # 24-bytes/node layout and never *under* the arena it accounts for
+    # (docs/node_layout.md).
     assert c['mem_bytes'] >= c['peak_allocated_nodes'] * 16, \
         ('mem accounting lost the packed arena term', c['mem_bytes'],
          c['peak_allocated_nodes'])
     assert c['mem_bytes'] < c['peak_allocated_nodes'] * 24 + (1 << 20), \
         ('mem accounting ballooned past the packed layout', c['mem_bytes'],
          c['peak_allocated_nodes'])
-    assert c['spilled'] is False, ('unspilled bench reported spilled', c)
     histos = c['metrics'].get('histograms', {})
     assert any(k.startswith('bdd.apply.') for k in histos), \
         ('no bdd.apply.* latency histogram', sorted(histos))
@@ -87,83 +86,6 @@ EOF
   fi
 }
 
-run_parallel() {
-  note "parallel gate: --apply-workers 1 must match serial byte for byte"
-  # The determinism contract (docs/parallel.md): applyWorkers <= 1 takes the
-  # exact serial code path, so the bench JSONL -- every counter, every
-  # iteration count, every node total, every histogram sample count -- must
-  # match byte for byte once the wall-clock-valued fields (time_s and the
-  # microsecond latency quantiles, which no two process runs can agree on)
-  # are masked out.
-  ./build-werror/bench/table1_fifo --json --depth 3 \
-    > build-werror/bench-serial.jsonl
-  ./build-werror/bench/table1_fifo --json --depth 3 --apply-workers 1 \
-    > build-werror/bench-workers1.jsonl
-  if command -v python3 >/dev/null 2>&1; then
-    python3 - <<'EOF'
-import json
-
-def canonical(path):
-    out = []
-    for line in open(path):
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        obj.pop('time_s', None)
-        for h in obj.get('metrics', {}).get('histograms', {}).values():
-            for k in ('sum', 'min', 'max', 'p50', 'p90', 'p99'):
-                h.pop(k, None)  # wall-clock microseconds; count stays
-        out.append(json.dumps(obj, sort_keys=True))
-    return out
-
-serial = canonical('build-werror/bench-serial.jsonl')
-workers1 = canonical('build-werror/bench-workers1.jsonl')
-for i, (a, b) in enumerate(zip(serial, workers1)):
-    assert a == b, f'line {i + 1} diverged:\nserial   {a}\nworkers1 {b}'
-assert len(serial) == len(workers1), (len(serial), len(workers1))
-print(f"ok: --apply-workers 1 identical to serial "
-      f"({len(serial)} lines, timing fields masked)")
-EOF
-  else
-    echo "python3 not installed -- identity check skipped (CI runs it)"
-  fi
-
-  note "parallel gate: shared-manager apply workers (identity + speedup)"
-  # Always enforce that every worker count reaches the serial verdict and
-  # iteration count; enforce the >=2x speedup target at 4 workers only when
-  # the host actually has >= 4 cores (the committed BENCH_parallel_apply.json
-  # records hardware_cores for the same reason).
-  ./build-werror/bench/table_parallel_apply --depth 8 \
-    > build-werror/bench-parallel.jsonl
-  if command -v python3 >/dev/null 2>&1; then
-    python3 - <<'EOF'
-import json
-lines = [json.loads(l)
-         for l in open('build-werror/bench-parallel.jsonl') if l.strip()]
-header, cells, summary = lines[0], lines[1:-1], lines[-1]
-assert header['schema'] == 'icbdd-bench-parallel-v1', header
-assert header['cells'] == len(cells), (header['cells'], len(cells))
-assert summary.get('summary') is True, summary
-assert summary['outcomes_identical'], \
-    ('parallel apply changed the verification outcome', cells)
-serial = next(c for c in cells if c['apply_workers'] == 1)
-for c in cells:
-    assert c['verdict'] == serial['verdict'], (c, serial)
-    assert c['iterations'] == serial['iterations'], (c, serial)
-cores = header['hardware_cores']
-w4 = summary['speedup'].get('w4')
-if cores >= 4 and w4 is not None:
-    assert w4 >= 2.0, f'speedup at 4 workers is {w4:.2f}x, want >= 2.0x'
-    print(f"ok: {len(cells)} cells, outcomes identical, w4 {w4:.2f}x")
-else:
-    print(f"ok: {len(cells)} cells, outcomes identical "
-          f"(speedup gate waived: {cores} core(s), w4 {w4})")
-EOF
-  else
-    echo "python3 not installed -- parallel validation skipped (CI runs it)"
-  fi
-}
-
 run_svc() {
   note "service gate: icbdd_serve NDJSON smoke (rejection + kill/resume)"
   if command -v python3 >/dev/null 2>&1; then
@@ -181,65 +103,6 @@ run_loadgen() {
       --summary-json "${3:-build-werror/loadgen-summary.json}"
   else
     echo "python3 not installed -- load soak skipped (CI runs it)"
-  fi
-}
-
-run_spill() {
-  note "spill gate: tiny RAM budget, identical verdicts, page faults > 0"
-  # The beyond-RAM acceptance check (docs/external_memory.md): the depth-4
-  # FIFO Fwd sweep peaks around 9300 nodes; a 2048-node resident budget
-  # forces most of the arena through the page file.  Verdicts, iteration
-  # counts, and node totals must match the unspilled run exactly, and the
-  # spilled cells must show real pager traffic.
-  ./build-werror/bench/table1_fifo --json --depth 4 \
-    > build-werror/bench-nospill.jsonl
-  ./build-werror/bench/table1_fifo --json --depth 4 \
-    --spill-dir build-werror/spill-scratch --spill-threshold 2048 \
-    > build-werror/bench-spill.jsonl
-  if command -v python3 >/dev/null 2>&1; then
-    python3 - <<'EOF'
-import json
-
-def cells(path):
-    rows = [json.loads(l) for l in open(path) if l.strip()]
-    return {(c['group'], c['method']): c for c in rows if 'method' in c}
-
-plain = cells('build-werror/bench-nospill.jsonl')
-spill = cells('build-werror/bench-spill.jsonl')
-assert plain.keys() == spill.keys(), (sorted(plain), sorted(spill))
-spilled_cells = 0
-for key, p in plain.items():
-    s = spill[key]
-    # Storage tier only: the decision procedure must be untouched.
-    for field in ('verdict', 'iterations', 'peak_iterate_nodes',
-                  'member_sizes', 'peak_allocated_nodes'):
-        assert p[field] == s[field], (key, field, p[field], s[field])
-    assert p['spilled'] is False, key
-    if s['spilled']:
-        spilled_cells += 1
-        counters = s['metrics']['counters']
-        assert counters.get('bdd.xmem.page_faults', 0) > 0, \
-            ('spilled cell with no page faults', key, counters)
-        assert counters.get('bdd.xmem.spill_bytes', 0) > 0, (key, counters)
-        # The resident budget caps the arena term well under the peak.
-        assert s['mem_bytes'] < p['mem_bytes'], (key, s['mem_bytes'],
-                                                 p['mem_bytes'])
-assert spilled_cells > 0, 'no cell engaged the spill tier'
-print(f"ok: {len(plain)} cells identical, {spilled_cells} ran beyond RAM")
-EOF
-  else
-    echo "python3 not installed -- spill validation skipped (CI runs it)"
-  fi
-}
-
-run_loadgen_spill() {
-  note "load gate: spill-mode soak (svc.jobs.spilled + bdd.xmem.* scrape)"
-  if command -v python3 >/dev/null 2>&1; then
-    python3 ci/loadgen.py --serve ./build-werror/examples/icbdd_serve \
-      --jobs 60 --workers 4 --spill \
-      --summary-json build-werror/loadgen-spill-summary.json
-  else
-    echo "python3 not installed -- spill soak skipped (CI runs it)"
   fi
 }
 
@@ -309,22 +172,18 @@ run_lint_strict() {
 }
 
 case "${what}" in
-  release)  run_release; run_bench_json; run_parallel; run_spill; run_svc;
-            run_loadgen; run_loadgen_spill ;;
+  release)  run_release; run_bench_json; run_svc; run_loadgen ;;
   sanitize) run_sanitize ;;
   tsan)     run_tsan ;;
   lint)     run_lint ;;
   lint-strict) run_lint_strict ;;
   bench)    run_bench_json ;;
-  parallel) run_parallel ;;
-  spill)    run_spill; run_loadgen_spill ;;
   svc)      run_svc ;;
   loadgen)  run_loadgen ;;
-  all)      run_release; run_bench_json; run_parallel; run_spill; run_svc;
-            run_loadgen; run_loadgen_spill; run_sanitize; run_tsan; run_lint;
-            run_lint_strict ;;
-  *) echo "usage: $0 [release|sanitize|tsan|lint|lint-strict|bench|parallel|" >&2
-     echo "          spill|svc|loadgen|all]" >&2
+  all)      run_release; run_bench_json; run_svc; run_loadgen; run_sanitize;
+            run_tsan; run_lint; run_lint_strict ;;
+  *) echo "usage: $0 [release|sanitize|tsan|lint|lint-strict|bench|svc|" >&2
+     echo "          loadgen|all]" >&2
      exit 2 ;;
 esac
 

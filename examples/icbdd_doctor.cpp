@@ -18,15 +18,13 @@
 //   icbdd_doctor --model fifo|mutex|network|filter|pipeline|all
 //                [--method xici] [--jobs N] [--metrics-prom]
 //                [--auto-reorder true] [--reorder-trigger K]
-//                [--apply-workers N]
 //   icbdd_doctor --bdd dump.txt
-//   icbdd_doctor --dump-store dump [--spill-dir DIR] [--spill-threshold N]
+//   icbdd_doctor --dump-store dump
 //   icbdd_doctor --job spec.json       (one icbdd-svc-v1 request object)
 //
 // --dump-store reports a saved dump's header (format version, v3 binary
-// layout info) and, after loading it, the store's occupancy: arena bytes,
-// refcount side-table size, and -- when --spill-dir arms the external-memory
-// tier -- the page-cache geometry and page-file size.
+// layout info) and, after loading it, the store's occupancy: arena bytes and
+// refcount side-table size.
 //
 // --model all audits every machine; --jobs N runs the model cells on the
 // parallel verification scheduler (each with a private manager), with the
@@ -304,9 +302,8 @@ int doctorJob(const std::string& path) {
 
 /// --dump-store: header + occupancy report for a saved dump.  Prints the
 /// dump's version/counts without building nodes (inspectDump), then loads it
-/// and reports the live store's footprint -- arena, refcount side table, and
-/// (under --spill-dir) the page cache the spill tier would run with.
-int doctorDumpStore(const std::string& path, const CliArgs& args) {
+/// and reports the live store's footprint -- arena and refcount side table.
+int doctorDumpStore(const std::string& path) {
   DumpInfo info;
   {
     std::ifstream in(path);
@@ -336,11 +333,7 @@ int doctorDumpStore(const std::string& path, const CliArgs& args) {
                 static_cast<unsigned long long>(info.nodeBytes));
   }
 
-  BddOptions options;
-  options.spillDir = args.getString("spill-dir", "");
-  options.spillThresholdNodes =
-      static_cast<std::uint64_t>(args.getInt("spill-threshold", 0));
-  BddManager mgr(options);
+  BddManager mgr;
   std::vector<Bdd> loaded;
   {
     std::ifstream in(path);
@@ -359,20 +352,8 @@ int doctorDumpStore(const std::string& path, const CliArgs& args) {
               static_cast<unsigned long long>(allocated * 16));
   std::printf("  root set        %zu externally referenced node(s)\n",
               mgr.rootSetSize());
-  std::printf("  true footprint  %llu bytes (arena + side table + page cache)\n",
+  std::printf("  true footprint  %llu bytes (arena + side table)\n",
               static_cast<unsigned long long>(mgr.bytesForNodes(allocated)));
-  const NodeStore::SpillInfo spill = mgr.spillInfo();
-  std::printf("  spill tier      %s\n",
-              spill.engaged ? "engaged"
-                            : (spill.armed ? "armed (not engaged)" : "off"));
-  if (spill.armed) {
-    std::printf("    pages         %zu total, %zu resident, budget %zu "
-                "(%llu bytes each)\n",
-                spill.pageCount, spill.residentPages, spill.budgetPages,
-                static_cast<unsigned long long>(spill.pageBytes));
-    std::printf("    page file     %llu bytes\n",
-                static_cast<unsigned long long>(spill.spillFileBytes));
-  }
   return 0;
 }
 
@@ -412,7 +393,7 @@ int doctorDump(const std::string& path) {
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   if (args.has("dump-store")) {
-    return doctorDumpStore(args.getString("dump-store", ""), args);
+    return doctorDumpStore(args.getString("dump-store", ""));
   }
   if (args.has("bdd")) {
     return doctorDump(args.getString("bdd", ""));
@@ -432,15 +413,10 @@ int main(int argc, char** argv) {
   // The doctor doubles as the harness for auditing reordering under load:
   // --auto-reorder turns on growth-triggered grouped sifting for every
   // audited manager, --reorder-trigger tunes how eagerly it fires.
-  // --apply-workers N audits a manager whose operations ran through the
-  // shared-store parallel apply path (every checker sees the post-region,
-  // quiesced arena; docs/parallel.md).
   BddOptions bddOptions;
   bddOptions.autoReorder = args.getBool("auto-reorder", false);
   bddOptions.reorderTrigger =
       args.getDouble("reorder-trigger", bddOptions.reorderTrigger);
-  bddOptions.applyWorkers = static_cast<unsigned>(
-      args.getInt("apply-workers", bddOptions.applyWorkers));
 
   const std::string model = args.getString("model", "fifo");
   if (model == "all") {

@@ -9,17 +9,7 @@
 //   icbdd_serve [--workers N] [--queue-bound N] [--journal DIR]
 //               [--checkpoint-every N] [--max-job-seconds S]
 //               [--default-job-seconds S] [--drain] [--no-recover]
-//               [--metrics-port N] [--apply-workers N]
-//               [--spill-dir DIR] [--spill-threshold-nodes N]
-//
-// --apply-workers N gives every job that does not set "apply_workers" in
-// its request N intra-problem apply workers (one shared manager per job,
-// split at the BDD-operation level; docs/parallel.md).
-//
-// --spill-dir DIR sets where jobs that request "spill": true page their
-// arena (default: the system temp directory); --spill-threshold-nodes N
-// caps such jobs' resident arena at N nodes (0 = spill only where
-// max_nodes would abort).  docs/external_memory.md covers the tier.
+//               [--metrics-port N]
 //
 // With --journal DIR, jobs accepted by a previous (killed) process are
 // re-submitted with resume=true at startup, picking up from their last
@@ -59,12 +49,7 @@ int main(int argc, char** argv) {
   options.defaultJobSeconds = args.getDouble("default-job-seconds", 0.0);
   options.checkpointEvery =
       static_cast<unsigned>(args.getInt("checkpoint-every", 4));
-  options.applyWorkers =
-      static_cast<unsigned>(args.getInt("apply-workers", 0));
   options.journalDir = args.getString("journal", "");
-  options.spillDir = args.getString("spill-dir", "");
-  options.spillThresholdNodes = static_cast<std::uint64_t>(
-      args.getInt("spill-threshold-nodes", 0));
   options.drain = args.getBool("drain", false);
 
   std::mutex outMutex;
@@ -85,7 +70,7 @@ int main(int argc, char** argv) {
   if (metricsPort >= 0) {
     httpd = std::make_unique<obs::HttpServer>(
         static_cast<std::uint16_t>(metricsPort),
-        [&service, &options](const std::string& path) {
+        [&service](const std::string& path) {
           obs::HttpResponse resp;
           if (path == "/metrics") {
             resp.contentType = "text/plain; version=0.0.4; charset=utf-8";
@@ -110,9 +95,6 @@ int main(int argc, char** argv) {
                                       .put("journal_ok", h.journalOk)
                                       .put("journal_age_s",
                                            h.secondsSinceJournalWrite)
-                                      .put("spill_dir", options.spillDir)
-                                      .put("spill_threshold_nodes",
-                                           options.spillThresholdNodes)
                                       .putRaw("metrics",
                                               service.metricsSnapshot()
                                                   .toJson()))

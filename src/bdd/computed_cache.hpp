@@ -1,38 +1,18 @@
-// ComputedCache: the manager's lossy operation cache, shareable by the
-// parallel apply workers (ROADMAP item 1).
+// ComputedCache: the manager's lossy operation cache.
 //
-// The table is open-addressed (direct-mapped, like the vector<CacheEntry>
-// it replaces) with each entry spread over three 64-bit words:
+// A direct-mapped table (like ABC's vCache/CacheMask) with each entry spread
+// over three 64-bit words:
 //
 //   key word a   bits 0..31  f        bits 32..63  g
 //   key word b   bits 0..31  h        bits 32..39  op
-//   tag word     bits 0..31  result   bits 32..62  sequence   bit 63  writing
+//   result word  bits 0..31  result
 //
-// Entries are published with a seqlock protocol built on the tag word:
-//
-//   writer   claim the entry by a CAS of the tag to (sequence+1 | writing);
-//            a failed CAS means another writer got there first and the
-//            insert is simply dropped (the cache is lossy by contract, so
-//            losing a race costs a future recomputation, never correctness).
-//            Store the two key words, then release-store the final tag
-//            (result | sequence+1, writing clear) -- the store that makes
-//            the entry visible.
-//   reader   acquire-load the tag; a set writing bit or a tag that changed
-//            across re-validation means a concurrent writer -- report a
-//            miss (again: lossy, not wrong).  Otherwise compare the full
-//            key words; false positives are impossible because the compare
-//            is exact, exactly as the serial cache compared (op, f, g, h).
-//
-// Under a single thread every CAS succeeds and every validation passes, so
-// the serial hit/miss sequence -- and therefore every trace, stats, and
-// bench byte -- is identical to the historical vector<CacheEntry> cache.
-//
-// Growth (the adaptive resize from PR 3) is NOT concurrency-safe and is
-// only invoked at quiesced safe points between parallel regions; the
-// manager gates it on its region epoch (docs/parallel.md).
+// A probe compares the full key words, so a false positive is impossible;
+// an insert always overwrites its slot.  The slot count and the hash decide
+// which entries evict each other, and with them the hit/miss counts in every
+// trace, stats, and bench line: change either only deliberately.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -56,9 +36,8 @@ class ComputedCache {
 
   [[nodiscard]] std::size_t size() const { return slots_.size(); }
 
-  /// Slot of a key at the current table size (a power of two).  The hash is
-  /// the historical one (two mix64 rounds) so serial slot assignment -- and
-  /// with it every conflict-eviction decision -- is unchanged.
+  /// Slot of a key at the current table size (a power of two): two mix64
+  /// rounds over the packed key.
   [[nodiscard]] std::size_t slotOf(std::uint32_t op, Edge f, Edge g,
                                    Edge h) const {
     const std::uint64_t k1 =
@@ -69,81 +48,23 @@ class ComputedCache {
            (slots_.size() - 1);
   }
 
-  /// Probe.  Returns true and stores the result on an exact key hit.  A slot
-  /// mid-write (or rewritten during validation) counts one unit into
-  /// *races and reports a miss -- the "lossy on race" half of the protocol.
-  /// (Non-const because std::atomic_ref over const words is a C++26
-  /// addition; the probe itself mutates nothing but the race counter.)
-  bool lookup(std::uint32_t op, Edge f, Edge g, Edge h, Edge* out,
-              std::uint64_t* races) {
-    Slot& s = slots_[slotOf(op, f, g, h)];
-    const std::uint64_t t1 =
-        std::atomic_ref<std::uint64_t>(s.tag).load(std::memory_order_acquire);
-    if ((t1 & kWritingBit) != 0) {
-      ++*races;
-      return false;
-    }
-    // Acquire on each key load keeps the re-validation load below from
-    // being hoisted above either of them -- the read-read ordering a
-    // seqlock needs.  (The textbook formulation is relaxed loads plus an
-    // acquire fence, but ThreadSanitizer does not model standalone fences;
-    // per-load acquire is equivalent here and free on x86/ARM acquire
-    // loads.)
-    const std::uint64_t a =
-        std::atomic_ref<std::uint64_t>(s.a).load(std::memory_order_acquire);
-    const std::uint64_t b =
-        std::atomic_ref<std::uint64_t>(s.b).load(std::memory_order_acquire);
-    // relaxed: the acquire loads above keep this validation load ordered
-    // after the key loads; equality with t1 proves the snapshot was
-    // consistent.
-    const std::uint64_t t2 =
-        std::atomic_ref<std::uint64_t>(s.tag).load(std::memory_order_relaxed);
-    if (t1 != t2) {
-      ++*races;
-      return false;
-    }
-    if (a != packA(f, g) || b != packB(h, op)) return false;
-    *out = static_cast<Edge>(t1 & 0xFFFFFFFFull);
+  /// Probe.  Returns true and stores the result on an exact key hit.
+  bool lookup(std::uint32_t op, Edge f, Edge g, Edge h, Edge* out) const {
+    const Slot& s = slots_[slotOf(op, f, g, h)];
+    if (s.a != packA(f, g) || s.b != packB(h, op)) return false;
+    *out = static_cast<Edge>(s.result);
     return true;
   }
 
-  /// Publish (always-overwrite, like the serial cache).  Losing the claim
-  /// CAS to a concurrent writer drops the insert and counts into *races.
-  void insert(std::uint32_t op, Edge f, Edge g, Edge h, Edge result,
-              std::uint64_t* races) {
+  /// Stores an entry, overwriting whatever held its slot.
+  void insert(std::uint32_t op, Edge f, Edge g, Edge h, Edge result) {
     Slot& s = slots_[slotOf(op, f, g, h)];
-    std::atomic_ref<std::uint64_t> tag(s.tag);
-    // relaxed: claim-CAS failure below is the only consumer of this value;
-    // a stale read just makes the CAS fail and the insert drop (lossy).
-    std::uint64_t t0 = tag.load(std::memory_order_relaxed);
-    if ((t0 & kWritingBit) != 0) {
-      ++*races;
-      return;
-    }
-    const std::uint64_t seq = ((t0 >> 32) + 1) & kSeqMask;
-    // relaxed: on CAS failure nothing is read from the slot -- the insert
-    // just drops; only the success (acquire) path proceeds to write.
-    if (!tag.compare_exchange_strong(t0, (seq << 32) | kWritingBit,
-                                     std::memory_order_acquire,
-                                     std::memory_order_relaxed)) {
-      ++*races;
-      return;
-    }
-    // relaxed: these key stores are ordered before the publishing
-    // release-store of the tag below; readers never look at them unless
-    // that tag validates.
-    std::atomic_ref<std::uint64_t>(s.a).store(packA(f, g),
-                                              std::memory_order_relaxed);
-    // relaxed: same seqlock write-side protocol as the store above.
-    std::atomic_ref<std::uint64_t>(s.b).store(packB(h, op),
-                                              std::memory_order_relaxed);
-    tag.store((seq << 32) | static_cast<std::uint64_t>(result),
-              std::memory_order_release);
+    s.a = packA(f, g);
+    s.b = packB(h, op);
+    s.result = result;
   }
 
-  // ---- quiesced-only surface (auditor, GC sweep, surgeon, resize) ---------
-  // These read and write the words plainly; callers run them only while no
-  // parallel region is active (the manager's safe-point contract).
+  // ---- slot-level surface (auditor, GC sweep, surgeon, resize) ------------
 
   [[nodiscard]] Entry entryAt(std::size_t slot) const {
     const Slot& s = slots_[slot];
@@ -152,7 +73,7 @@ class ComputedCache {
     e.g = static_cast<Edge>(s.a >> 32);
     e.h = static_cast<Edge>(s.b & 0xFFFFFFFFull);
     e.op = static_cast<std::uint32_t>((s.b >> 32) & 0xFFull);
-    e.result = static_cast<Edge>(s.tag & 0xFFFFFFFFull);
+    e.result = static_cast<Edge>(s.result);
     return e;
   }
 
@@ -160,11 +81,10 @@ class ComputedCache {
     Slot& s = slots_[slot];
     s.a = packA(e.f, e.g);
     s.b = packB(e.h, e.op);
-    const std::uint64_t seq = ((s.tag >> 32) + 1) & kSeqMask;
-    s.tag = (seq << 32) | static_cast<std::uint64_t>(e.result);
+    s.result = e.result;
   }
 
-  void clearAt(std::size_t slot) { setEntryAt(slot, Entry{}); }
+  void clearAt(std::size_t slot) { slots_[slot] = Slot{}; }
 
   /// Replaces the table with a fresh one of `entries` slots, dropping every
   /// entry.  The manager's resize (which *keeps* entries) decodes and
@@ -175,14 +95,11 @@ class ComputedCache {
 
  private:
   struct Slot {
-    std::uint64_t tag = 0;  ///< result | sequence<<32 | writing<<63
-    std::uint64_t a = 0;    ///< f | g<<32
-    std::uint64_t b = 0;    ///< h | op<<32
+    std::uint64_t a = 0;       ///< f | g<<32
+    std::uint64_t b = 0;       ///< h | op<<32
+    std::uint64_t result = 0;  ///< result edge in the low 32 bits
   };
   static_assert(sizeof(Slot) == 24, "three words per cache entry");
-
-  static constexpr std::uint64_t kWritingBit = 1ull << 63;
-  static constexpr std::uint64_t kSeqMask = 0x7FFFFFFFull;
 
   static std::uint64_t packA(Edge f, Edge g) {
     return static_cast<std::uint64_t>(f) |
@@ -193,7 +110,7 @@ class ComputedCache {
            (static_cast<std::uint64_t>(op & 0xFFu) << 32);
   }
 
-  /// 64-bit mix (Murmur3 finalizer); the historical cache hash.
+  /// 64-bit mix (Murmur3 finalizer).
   static std::uint64_t mix64(std::uint64_t x) {
     x ^= x >> 33;
     x *= 0xFF51AFD7ED558CCDull;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "bdd/bdd.hpp"
-#include "bdd/par_internal.hpp"
 #include "check/check.hpp"
 #include "check/structural_checker.hpp"
 #include "obs/trace.hpp"
@@ -31,25 +30,6 @@ BddManager::BddManager(const BddOptions& options)
       options_(options) {
   gcThreshold_ = options_.gcThreshold;
   stats_.peakNodes = 1;
-  if (!options_.spillDir.empty()) store_.armSpill(options_.spillDir);
-  if (options_.applyWorkers > 1) setApplyWorkers(options_.applyWorkers);
-}
-
-BddManager::~BddManager() = default;
-
-// ---------------------------------------------------------------------------
-// apply workers (ROADMAP item 1; the regions themselves live in
-// par_apply.cpp)
-
-void BddManager::setApplyWorkers(unsigned n) {
-  const unsigned want = n <= 1 ? 1 : n;
-  if (want == applyWorkers()) return;
-  par_.reset();  // park and join the old pool first
-  if (want > 1) par_ = std::make_unique<ParState>(want);
-}
-
-unsigned BddManager::applyWorkers() const {
-  return par_ ? par_->pool.workers() : 1;
 }
 
 // ---------------------------------------------------------------------------
@@ -103,16 +83,8 @@ void BddManager::deref(Edge e) {
 }
 
 void BddManager::checkResourceLimits() {
-  if (limits_.maxNodes != 0 && allocatedNodes() > limits_.maxNodes &&
-      !maybeSpillInsteadOfNodeLimit()) {
+  if (limits_.maxNodes != 0 && allocatedNodes() > limits_.maxNodes) {
     throw ResourceLimitError(ResourceKind::kNodes);
-  }
-  // Proactive engagement: with a spill threshold configured, mount the tier
-  // as soon as the arena crosses it, well before the node cap would fire.
-  if (options_.spillThresholdNodes != 0 && !store_.spillEngaged() &&
-      store_.spillArmed() && !store_.concurrent() &&
-      allocatedNodes() > options_.spillThresholdNodes) {
-    engageSpill();
   }
   // relaxed: cancellation is advisory -- the poll needs timeliness, not
   // ordering with the cancelling thread's other writes.
@@ -129,43 +101,8 @@ void BddManager::checkResourceLimits() {
   }
 }
 
-bool BddManager::maybeSpillInsteadOfNodeLimit() {
-  // Inside a concurrent region the tier must not mount (eviction is not
-  // thread-safe); the region aborts with kNodes and parApply's quiesced
-  // retry path engages the tier before falling back to the serial
-  // recursion (docs/external_memory.md).
-  if (!store_.spillArmed() || store_.concurrent()) return false;
-  if (!store_.spillEngaged()) engageSpill();
-  // The node cap modeled RAM and the tier now supplies RAM from disk: keep
-  // running beyond the cap instead of reporting kNodeLimit.
-  return true;
-}
-
-void BddManager::engageSpill() {
-  if (store_.spillEngaged()) return;
-  std::uint64_t budgetNodes = options_.spillThresholdNodes;
-  if (budgetNodes == 0) budgetNodes = limits_.maxNodes;
-  if (budgetNodes == 0) budgetNodes = std::uint64_t{1} << 20;
-  store_.engageSpill(budgetNodes);
-  if (obs::traceEnabled()) {
-    obs::emitGlobalEvent("spill_engage", *this,
-                         obs::JsonObject()
-                             .put("budget_nodes", budgetNodes)
-                             .put("allocated", allocatedNodes()));
-  }
-}
-
 std::uint64_t BddManager::bytesForNodes(std::uint64_t n) const {
-  std::uint64_t arena = n * sizeof(PackedNode);
-  if (store_.spillEngaged()) {
-    // Spilled pages live on disk: the arena's RAM term is capped at the
-    // resident budget, and the page-table bookkeeping joins the bill.
-    const NodeStore::SpillInfo info = store_.spillInfo();
-    arena = std::min<std::uint64_t>(
-                arena, static_cast<std::uint64_t>(info.budgetPages) *
-                           info.pageBytes) +
-            store_.pageTableBytes();
-  }
+  const std::uint64_t arena = n * sizeof(PackedNode);
   // The sparse refcount side table: a hash node per externally referenced
   // index (~2x the 8-byte payload with the chain pointer and allocator
   // rounding) plus the bucket-pointer array.
@@ -222,10 +159,7 @@ std::size_t BddManager::cacheSlot(Op op, Edge f, Edge g, Edge h) const {
 bool BddManager::cacheLookup(Op op, Edge f, Edge g, Edge h, Edge* out) {
   BddOpCacheStats& opStats = stats_.opCache[static_cast<std::size_t>(op)];
   ++opStats.lookups;
-  // The race counter never moves on this serial path (no concurrent
-  // writers), so routing it at stats_ directly is safe.
-  if (cache_.lookup(static_cast<std::uint32_t>(op), f, g, h, out,
-                    &stats_.parCacheRaces)) {
+  if (cache_.lookup(static_cast<std::uint32_t>(op), f, g, h, out)) {
     ++opStats.hits;
     return true;
   }
@@ -233,8 +167,7 @@ bool BddManager::cacheLookup(Op op, Edge f, Edge g, Edge h, Edge* out) {
 }
 
 void BddManager::cacheInsert(Op op, Edge f, Edge g, Edge h, Edge result) {
-  cache_.insert(static_cast<std::uint32_t>(op), f, g, h, result,
-                &stats_.parCacheRaces);
+  cache_.insert(static_cast<std::uint32_t>(op), f, g, h, result);
 }
 
 void BddManager::maybeGrowComputedCache() {
@@ -245,10 +178,6 @@ void BddManager::maybeGrowComputedCache() {
   // factor ~1 loses most of its entries to slot conflicts, so growing only
   // to parity buys nothing.  The 2x headroom is what turns growth into
   // measurable hit-rate gains on multi-hundred-thousand-node traversals.
-  //
-  // Only ever called at quiesced safe points (serial mk, or the join at a
-  // parallel region's end): resizing is the one cache operation the
-  // lock-free protocol does not cover (docs/parallel.md).
   while (store_.size() * 2 > cache_.size() && cache_.size() < ceiling) {
     // Rehash rather than drop: every live entry stays findable at its slot
     // in the doubled table, so growth never costs a cold restart.

@@ -20,7 +20,6 @@
 #include <array>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -30,7 +29,6 @@
 #include "bdd/node_store.hpp"
 #include "bdd/options.hpp"
 #include "obs/histogram.hpp"
-#include "util/thread_annotations.hpp"
 #include "util/timer.hpp"
 
 namespace icb {
@@ -88,11 +86,6 @@ struct BddStats {
   std::uint64_t refUnderflows = 0;  ///< deref() calls on a zero count (a
                                     ///< double release swallowed because the
                                     ///< check level was below cheap)
-  std::uint64_t parSteals = 0;      ///< parallel-apply tasks run by a thief
-  std::uint64_t parCasRetries = 0;  ///< unique-table bucket-head CAS retries
-  std::uint64_t parCacheRaces = 0;  ///< computed-cache probes/inserts dropped
-                                    ///< because a concurrent writer held or
-                                    ///< rewrote the slot (lossy by contract)
 
   /// Computed-cache hit/miss per operation kind, indexed by BddOp.
   std::array<BddOpCacheStats, kBddOpCount> opCache{};
@@ -146,20 +139,13 @@ class BddOpTimer {
   Stopwatch watch_;
 };
 
-// The manager is declared a *capability* (clang thread-safety analysis):
-// today every manager is confined to one thread (the scheduler gives each
-// cell a private manager), so nothing acquires it and the analysis has
-// nothing to prove.  When ROADMAP item 1 shares the unique table / computed
-// cache across workers, the shared entry points gain ICBDD_REQUIRES(*this)
-// (or finer-grained capabilities) against this declaration, and every
-// access to the members marked "item-1 shared" below becomes machine-checked
-// instead of comment-enforced.  Cross-thread interaction that is already
-// legal today goes through ResourceLimits::cancelFlag (an atomic the owner
-// thread installs), never through direct member access.
-class ICBDD_CAPABILITY("BddManager") BddManager {
+// A manager is confined to one thread: the scheduler and the service give
+// each cell a private manager.  Cross-thread interaction goes through
+// ResourceLimits::cancelFlag (an atomic the owner thread installs), never
+// through direct member access.
+class BddManager {
  public:
   explicit BddManager(const BddOptions& options = {});
-  ~BddManager();
 
   BddManager(const BddManager&) = delete;
   BddManager& operator=(const BddManager&) = delete;
@@ -228,11 +214,9 @@ class ICBDD_CAPABILITY("BddManager") BddManager {
   /// report paper-style "Mem" columns in an implementation-independent way
   /// (the paper itself warns memory numbers depend on the package).  The
   /// packed node folds the unique-table chain link into its spare bits, so
-  /// the arena term is exactly 16 bytes per node; on top of that ride the
-  /// sparse refcount side table (entries + bucket array) and, once the
-  /// spill tier engages, the page-table bookkeeping -- while the arena term
-  /// itself is capped at the resident-page budget, because spilled pages
-  /// live on disk, not in RAM (docs/node_layout.md has the accounting).
+  /// the arena term is exactly 16 bytes per node; on top of that rides the
+  /// sparse refcount side table (entries + bucket array).
+  /// docs/node_layout.md has the accounting.
   [[nodiscard]] std::uint64_t bytesForNodes(std::uint64_t n) const;
 
   [[nodiscard]] const BddStats& stats() const { return stats_; }
@@ -273,49 +257,6 @@ class ICBDD_CAPABILITY("BddManager") BddManager {
   /// Checks the installed resource limits now (mk() polls them itself, but
   /// long non-allocating walks such as node counting call this explicitly).
   void pollLimits() { checkResourceLimits(); }
-
-  // ---- intra-problem parallelism (ROADMAP item 1) --------------------------
-
-  /// Reconfigures the apply-worker count at a safe point (no operation may
-  /// be running).  n <= 1 parks and releases the pool and restores the
-  /// byte-identical serial path; n > 1 (re)builds a work-stealing pool of n
-  /// workers (calling thread included) that splits AND/XOR/ITE/EXISTS/
-  /// AND-EXISTS cofactor subproblems across the shared NodeStore and
-  /// lock-free computed cache.  Engines plumb EngineOptions::applyWorkers
-  /// through here (via LimitGuard); benches and the service set it at
-  /// construction through BddOptions::applyWorkers.
-  void setApplyWorkers(unsigned n);
-
-  /// Current apply-worker count (1 == serial).
-  [[nodiscard]] unsigned applyWorkers() const;
-
-  // ---- external-memory spill tier (ROADMAP item 3) -------------------------
-
-  /// True when BddOptions::spillDir armed the spill-to-disk tier.
-  [[nodiscard]] bool spillArmed() const { return store_.spillArmed(); }
-
-  /// True once the tier actually mounted: the arena is paging through the
-  /// spill file, runs complete beyond RAM instead of ending in kNodeLimit,
-  /// and engines report `spilled` in their results.
-  [[nodiscard]] bool spillEngaged() const { return store_.spillEngaged(); }
-
-  /// Mounts the spill tier now at the configured budget
-  /// (BddOptions::spillThresholdNodes, else ResourceLimits::maxNodes, else
-  /// a default).  Normally the manager engages itself when the arena
-  /// crosses the budget; tests and the parallel-apply fallback call this
-  /// directly.  No-op when already engaged; BddUsageError when not armed.
-  void engageSpill();
-
-  /// Pager telemetry (bdd.xmem.*); nullptr when the tier is not armed, so
-  /// unspilled runs emit byte-identical metrics.
-  [[nodiscard]] const xmem::PagerStats* pagerStats() const {
-    return store_.pagerStats();
-  }
-
-  /// Arena / page-cache occupancy snapshot (doctor --dump-store, /statusz).
-  [[nodiscard]] NodeStore::SpillInfo spillInfo() const {
-    return store_.spillInfo();
-  }
 
   /// Distinct externally referenced nodes (refcount side-table occupancy;
   /// the GC root set).  Doctor --dump-store reports it next to the arena.
@@ -512,10 +453,6 @@ class ICBDD_CAPABILITY("BddManager") BddManager {
   void maybeGrowComputedCache();
 
   void checkResourceLimits();
-  /// Engages the spill tier instead of throwing kNodes when armed and
-  /// outside a concurrent region; returns true when the caller should keep
-  /// running beyond the node cap.
-  bool maybeSpillInsteadOfNodeLimit();
   void markRecursive(std::uint32_t index, std::vector<std::uint8_t>& mark) const;
 
   // reordering internals (reorder.cpp)
@@ -555,57 +492,10 @@ class ICBDD_CAPABILITY("BddManager") BddManager {
   Edge restrictRec(Edge f, Edge c);
   Edge constrainRec(Edge f, Edge c);
 
-  // parallel apply (par_apply.cpp; see docs/parallel.md).  ParWorker is one
-  // worker's private counters, ParState owns the pool + workers; both are
-  // defined in bdd/par_internal.hpp so this header stays thread-free.
-  struct ParWorker;
-  struct ParState;
-  /// True when a pool exists and the entry points should fork a region.
-  /// Once the spill tier engages, regions are off: eviction is not
-  /// thread-safe and atomic_ref needs resident, stable node memory, so the
-  /// dispatch falls back to the byte-identical serial recursion
-  /// (docs/external_memory.md).
-  [[nodiscard]] bool parallelEnabled() const {
-    return par_ != nullptr && !store_.spillEngaged();
-  }
-  /// Runs (op, f, g, h) as one parallel region, including the
-  /// quiesce-grow-retry loop around NodeStore::GrowRequest and the stats
-  /// merge at the joined end.
-  Edge parApply(Op op, Edge f, Edge g, Edge h);
-  static std::uint32_t parTaskEntry(void* ctx, std::uint32_t op,
-                                    std::uint32_t f, std::uint32_t g,
-                                    std::uint32_t h, unsigned depth,
-                                    unsigned worker);
-  Edge parDispatch(ParWorker& w, Op op, Edge f, Edge g, Edge h,
-                   unsigned depth);
-  Edge parAnd(ParWorker& w, Edge f, Edge g, unsigned depth);
-  Edge parXor(ParWorker& w, Edge f, Edge g, unsigned depth);
-  Edge parIte(ParWorker& w, Edge f, Edge g, Edge h, unsigned depth);
-  Edge parExists(ParWorker& w, Edge f, Edge cube, unsigned depth);
-  Edge parAndExists(ParWorker& w, Edge f, Edge g, Edge cube, unsigned depth);
-  /// Shared-mode mk: lock-free find-or-publish, no GC/rehash/cache growth.
-  Edge mkShared(ParWorker& w, unsigned var, Edge hi, Edge lo);
-  /// Abort-flag + resource-limit poll for the parallel recursion (sampled
-  /// through the worker's private countdown).
-  void parPollLimits(ParWorker& w);
-  bool parCacheLookup(ParWorker& w, Op op, Edge f, Edge g, Edge h, Edge* out);
-  void parCacheInsert(ParWorker& w, Op op, Edge f, Edge g, Edge h,
-                      Edge result);
-
-  // data -- the first block is the item-1 shared state: the NodeStore
-  // (node arena + unique table + free list, see bdd/node_store.hpp) and the
-  // computed cache are exactly what the shared concurrent manager will hand
-  // to multiple workers, so any new access to them must stay behind this
-  // class's capability (see the class comment).
-  NodeStore store_;                     // item-1 shared
-
-  ComputedCache cache_;                 // item-1 shared: computed cache
-
-  // Parallel-apply state (null when applyWorkers <= 1: the serial path
-  // never touches it).  Owns the work-stealing pool and the per-worker
-  // counter blocks; also carries the arena-slack hint the grow-retry loop
-  // doubles (bdd/par_internal.hpp).
-  std::unique_ptr<ParState> par_;
+  // data -- node arena + unique table + free list (bdd/node_store.hpp),
+  // then the computed cache.
+  NodeStore store_;
+  ComputedCache cache_;
 
   std::vector<Edge> varEdges_;  // projection edge per variable (kept live)
   std::vector<unsigned> var2level_;

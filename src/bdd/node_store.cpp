@@ -1,9 +1,5 @@
 #include "bdd/node_store.hpp"
 
-#include <unistd.h>
-
-#include <algorithm>
-#include <atomic>
 #include <bit>
 
 namespace icb {
@@ -20,28 +16,29 @@ std::uint64_t mix64(std::uint64_t x) {
   return x;
 }
 
-/// Process-unique page-file name: several managers (service jobs) may spill
-/// into the same directory concurrently.
-std::string nextSpillName() {
-  static std::atomic<std::uint64_t> seq{0};
-  // relaxed: the ticket needs only uniqueness, no ordering.
-  const std::uint64_t n = seq.fetch_add(1, std::memory_order_relaxed);
-  return "icbdd-spill-" + std::to_string(::getpid()) + "-" +
-         std::to_string(n) + ".pages";
-}
-
 }  // namespace
 
 NodeStore::NodeStore(std::size_t initialCapacity) {
-  nodes_.reserve(initialCapacity);
+  chunks_.reserve((initialCapacity + kChunkMask) >> kChunkShift);
   // Node 0: the terminal.  Its var is kTermVar so it never matches a
   // variable; it is never on a hash chain; its reference is pinned.
-  PackedNode terminal;
+  PackedNode& terminal = append();
   packFields(terminal, kTermVar, kTrueEdge, kTrueEdge);
   packNext(terminal, kNil);
-  nodes_.push_back(terminal);
   buckets_.assign(std::bit_ceil<std::size_t>(initialCapacity), kNil);
   refs_.emplace(0u, kMaxRef);
+}
+
+PackedNode& NodeStore::append() {
+  if (size_ == chunks_.size() << kChunkShift) {
+    // The table grows before the chunk is allocated: the other order leaves
+    // each freed table between chunks, and measured ~3% higher peak RSS on
+    // the FIFO-10 checkpoint/resume cells.  make_unique<T[]> value-
+    // initializes, so a fresh chunk reads as all zero.
+    chunks_.emplace_back();
+    chunks_.back() = std::make_unique<PackedNode[]>(kChunkRecords);
+  }
+  return at(static_cast<std::uint32_t>(size_++));
 }
 
 std::size_t NodeStore::hashOf(unsigned var, Edge hi, Edge lo) const {
@@ -54,9 +51,9 @@ std::size_t NodeStore::hashOf(unsigned var, Edge hi, Edge lo) const {
 std::uint32_t NodeStore::find(unsigned var, Edge hi, Edge lo,
                               std::uint64_t* chainSteps) const {
   for (std::uint32_t i = buckets_[hashOf(var, hi, lo)]; i != kNil;
-       i = unpackNext(nodes_[i])) {
+       i = unpackNext(at(i))) {
     ++*chainSteps;
-    const PackedNode& n = nodes_[i];
+    const PackedNode& n = at(i);
     if (unpackVar(n) == var && unpackHi(n) == hi && unpackLo(n) == lo) {
       return i;
     }
@@ -68,7 +65,7 @@ std::uint32_t NodeStore::allocate(unsigned var, Edge hi, Edge lo) {
   std::uint32_t index;
   if (freeHead_ != kNil) {
     index = freeHead_;
-    freeHead_ = unpackNext(nodes_[index]);
+    freeHead_ = unpackNext(at(index));
     --freeCount_;
   } else {
     // The cap check runs BEFORE the arena grows: on a throw nothing has
@@ -76,13 +73,13 @@ std::uint32_t NodeStore::allocate(unsigned var, Edge hi, Edge lo) {
     // (== kNil - 1) keeps every fresh index encodable in Edge's 31-bit
     // index field and distinct from the null link -- a wrapped makeEdge()
     // is structurally impossible, not merely checked.
-    if (nodes_.size() > indexCap_) {
+    if (size_ > indexCap_) {
       throw ResourceLimitError(ResourceKind::kNodeIndexSpace);
     }
-    index = static_cast<std::uint32_t>(nodes_.size());
-    nodes_.emplace_back();
+    index = static_cast<std::uint32_t>(size_);
+    append();
   }
-  PackedNode& n = nodes_[index];
+  PackedNode& n = at(index);
   packFields(n, var, hi, lo);
   const std::size_t slot = hashOf(var, hi, lo);
   packNext(n, buckets_[slot]);
@@ -90,202 +87,10 @@ std::uint32_t NodeStore::allocate(unsigned var, Edge hi, Edge lo) {
   return index;
 }
 
-// ---------------------------------------------------------------------------
-// external-memory (spill) tier
-
-void NodeStore::engageSpill(std::uint64_t budgetNodes) {
-  if (nodes_.engaged()) return;
-  if (spillDir_.empty()) {
-    throw BddUsageError("engageSpill: spill tier is not armed (no spillDir)");
-  }
-  spillFile_ = std::make_unique<xmem::PageFile>();
-  spillFile_->open(spillDir_ + "/" + nextSpillName(),
-                   xmem::PagedStore<PackedNode>::kPageBytes,
-                   sizeof(PackedNode));
-  const std::size_t budgetPages = static_cast<std::size_t>(
-      budgetNodes >> xmem::PagedStore<PackedNode>::kPageShift);
-  nodes_.engage(budgetPages, spillFile_.get(), &pagerStats_);
-}
-
-NodeStore::SpillInfo NodeStore::spillInfo() const {
-  SpillInfo info;
-  info.armed = spillArmed();
-  info.engaged = nodes_.engaged();
-  info.pageCount = nodes_.pageCount();
-  info.residentPages = nodes_.residentPages();
-  info.budgetPages = nodes_.budgetPages();
-  info.pageBytes = xmem::PagedStore<PackedNode>::kPageBytes;
-  info.spillFileBytes = spillFile_ ? spillFile_->bytesOnDisk() : 0;
-  return info;
-}
-
-// ---------------------------------------------------------------------------
-// concurrent (shared-apply) mode
-
-void NodeStore::beginConcurrent(std::size_t slack) {
-  const std::uint64_t want =
-      static_cast<std::uint64_t>(nodes_.size()) + slack;
-  const std::uint64_t cap =
-      std::min<std::uint64_t>(want, static_cast<std::uint64_t>(indexCap_) + 1);
-  capacity_ = static_cast<std::size_t>(
-      std::max<std::uint64_t>(cap, nodes_.size()));
-  // relaxed: single-threaded here -- the region's workers have not started.
-  bump_.store(static_cast<std::uint32_t>(nodes_.size()),
-              std::memory_order_relaxed);
-  // relaxed: same single-threaded setup store as above.
-  abandonedHead_.store(kNil, std::memory_order_relaxed);
-  // Pre-size the unique table so the load factor stays <= 1 without a
-  // mid-region rehash.  This must happen BEFORE the padding below exists:
-  // rehash() chains every node whose var is not the free sentinel, and the
-  // value-initialized padding (both words zero) decodes as a var-0 node --
-  // rehashing over it would chain the whole slack region into one bucket,
-  // which dangles once endConcurrent() truncates the unclaimed tail.
-  if (buckets_.size() < capacity_) {
-    rehash(std::bit_ceil<std::size_t>(capacity_));
-  }
-  // The padding nodes are value-initialized and stay unreachable until a
-  // worker claims their index and publishes it.
-  nodes_.resize(capacity_);
-  concurrent_ = true;
-}
-
-void NodeStore::endConcurrent() {
-  // relaxed: the workers have quiesced (joined); this thread sees their
-  // final ticket by the join's synchronization.
-  const std::uint64_t bump = bump_.load(std::memory_order_relaxed);
-  const std::size_t extent = static_cast<std::size_t>(
-      std::min<std::uint64_t>(bump, capacity_));
-  nodes_.resize(extent);
-  // Free-list the CAS losers: every abandoned index is below the extent
-  // (abandonShared only ever parks in-capacity tickets).
-  // relaxed: quiesced, as above.
-  std::uint32_t a = abandonedHead_.load(std::memory_order_relaxed);
-  while (a != kNil) {
-    const std::uint32_t next = unpackNext(nodes_[a]);
-    nodes_[a].word0 = 0;  // drop the claim mark and the abandoned-list link
-    pushFree(a);
-    a = next;
-  }
-  // relaxed: quiesced, as above.
-  abandonedHead_.store(kNil, std::memory_order_relaxed);
-  concurrent_ = false;
-}
-
-std::uint32_t NodeStore::chainSearch(std::uint32_t i, unsigned var, Edge hi,
-                                     Edge lo, std::uint64_t* chainSteps) {
-  while (i != kNil) {
-    ++*chainSteps;
-    PackedNode& n = nodes_[i];
-    // relaxed: node i became reachable through a release-published bucket
-    // head (acquire-loaded by the caller) or a release CAS extending the
-    // chain; either way its words happened-before this load.
-    const std::uint64_t w0 =
-        std::atomic_ref<std::uint64_t>(n.word0).load(std::memory_order_relaxed);
-    // relaxed: same publication argument as word0 above.
-    const std::uint64_t w1 =
-        std::atomic_ref<std::uint64_t>(n.word1).load(std::memory_order_relaxed);
-    if (static_cast<unsigned>((w1 >> kVarShift) & kVarMask) == var &&
-        static_cast<Edge>(w0 & kEdgeMask) == hi &&
-        static_cast<Edge>(w1 & kEdgeMask) == lo) {
-      return i;
-    }
-    i = static_cast<std::uint32_t>((w0 >> kNextShift) & kNextMask);
-  }
-  return kNil;
-}
-
-std::uint32_t NodeStore::findShared(unsigned var, Edge hi, Edge lo,
-                                    std::uint64_t* chainSteps) {
-  const std::size_t slot = hashOf(var, hi, lo);
-  const std::uint32_t head =
-      std::atomic_ref<std::uint32_t>(buckets_[slot])
-          .load(std::memory_order_acquire);
-  return chainSearch(head, var, hi, lo, chainSteps);
-}
-
-void NodeStore::abandonShared(std::uint32_t index) {
-  PackedNode& n = nodes_[index];
-  // The loser keeps its claim mark; its var becomes the free sentinel so a
-  // stray read never mistakes it for a live node.  Plain stores are fine:
-  // nobody else reads an unpublished node, and the quiesced drain in
-  // endConcurrent() is ordered by the workers' join.
-  n.word1 = static_cast<std::uint64_t>(kFreeVar) << kVarShift;
-  // relaxed: the CAS below is what publishes the push; a stale head only
-  // makes it retry.
-  std::uint32_t head = abandonedHead_.load(std::memory_order_relaxed);
-  for (;;) {
-    n.word0 = kClaimBit |
-              (static_cast<std::uint64_t>(head & kNextMask) << kNextShift);
-    // relaxed: failure just re-reads the head for the retry; success needs
-    // release only so the drain (already ordered by the join) is also
-    // well-formed against a racing pusher's word0 store.
-    if (abandonedHead_.compare_exchange_weak(head, index,
-                                             std::memory_order_release,
-                                             std::memory_order_relaxed)) {
-      return;
-    }
-  }
-}
-
-std::uint32_t NodeStore::allocateShared(unsigned var, Edge hi, Edge lo,
-                                        std::uint64_t* chainSteps,
-                                        std::uint64_t* casRetries,
-                                        bool* createdNew) {
-  // relaxed: the ticket needs only uniqueness (fetch_add); the node is
-  // published -- with full ordering -- by the bucket-head CAS below.
-  const std::uint32_t index =
-      bump_.fetch_add(1, std::memory_order_relaxed);
-  if (index > indexCap_) {
-    // Keep the extent hole-free before reporting the structural ceiling:
-    // in-capacity tickets park on the abandoned list, out-of-capacity ones
-    // are beyond the post-region extent anyway.
-    if (index < capacity_) abandonShared(index);
-    throw ResourceLimitError(ResourceKind::kNodeIndexSpace);
-  }
-  if (index >= capacity_) throw GrowRequest{};
-
-  PackedNode& n = nodes_[index];
-  // Claimed: allocated but not yet published (word0 bit 63, the reserved
-  // spare of docs/node_layout.md).  Plain stores -- the index is private
-  // until the CAS succeeds.
-  n.word1 = (static_cast<std::uint64_t>(var & kVarMask) << kVarShift) |
-            static_cast<std::uint64_t>(lo);
-  n.word0 = static_cast<std::uint64_t>(hi) |
-            (static_cast<std::uint64_t>(kNil) << kNextShift) | kClaimBit;
-
-  const std::size_t slot = hashOf(var, hi, lo);
-  std::atomic_ref<std::uint32_t> head(buckets_[slot]);
-  std::uint32_t h0 = head.load(std::memory_order_acquire);
-  for (;;) {
-    // Re-probe under the current head: a racing worker may have published
-    // this very triple while we were claiming our ticket.
-    const std::uint32_t dup = chainSearch(h0, var, hi, lo, chainSteps);
-    if (dup != kNil) {
-      abandonShared(index);
-      *createdNew = false;
-      return dup;
-    }
-    // Link then publish: word0 gains the chain link and sheds the claim
-    // mark in one release store; the head CAS makes it reachable.  Readers
-    // that acquire the new head see this store (and, through the release
-    // sequence on the head, every earlier node's words too).
-    std::atomic_ref<std::uint64_t>(n.word0).store(
-        static_cast<std::uint64_t>(hi) |
-            (static_cast<std::uint64_t>(h0 & kNextMask) << kNextShift),
-        std::memory_order_release);
-    if (head.compare_exchange_weak(h0, index, std::memory_order_release,
-                                   std::memory_order_acquire)) {
-      *createdNew = true;
-      return index;
-    }
-    ++*casRetries;
-  }
-}
-
 void NodeStore::rehash(std::size_t newBucketCount) {
   buckets_.assign(newBucketCount, kNil);
-  for (std::uint32_t i = 1; i < nodes_.size(); ++i) {
-    PackedNode& n = nodes_[i];
+  for (std::uint32_t i = 1; i < size_; ++i) {
+    PackedNode& n = at(i);
     if (unpackVar(n) == kFreeVar) continue;  // free-listed node
     const std::size_t slot = hashOf(unpackVar(n), unpackHi(n), unpackLo(n));
     packNext(n, buckets_[slot]);
@@ -294,15 +99,15 @@ void NodeStore::rehash(std::size_t newBucketCount) {
 }
 
 void NodeStore::linkIntoBucket(std::uint32_t i) {
-  PackedNode& n = nodes_[i];
+  PackedNode& n = at(i);
   const std::size_t slot = hashOf(unpackVar(n), unpackHi(n), unpackLo(n));
   packNext(n, buckets_[slot]);
   buckets_[slot] = i;
 }
 
 bool NodeStore::unlinkFromBucket(std::uint32_t i) {
-  const std::uint32_t after = unpackNext(nodes_[i]);
-  const PackedNode& n = nodes_[i];
+  const std::uint32_t after = unpackNext(at(i));
+  const PackedNode& n = at(i);
   const std::size_t slot = hashOf(unpackVar(n), unpackHi(n), unpackLo(n));
   std::uint32_t cur = buckets_[slot];
   if (cur == i) {
@@ -310,9 +115,9 @@ bool NodeStore::unlinkFromBucket(std::uint32_t i) {
     return true;
   }
   while (cur != kNil) {
-    const std::uint32_t next = unpackNext(nodes_[cur]);
+    const std::uint32_t next = unpackNext(at(cur));
     if (next == i) {
-      packNext(nodes_[cur], after);
+      packNext(at(cur), after);
       return true;
     }
     cur = next;

@@ -1,12 +1,12 @@
-// NodeStore: the shared-state seam of BddManager -- node arena, unique
-// table, and free list -- implemented over a packed 16-byte node.
+// NodeStore: the node arena, unique table, free list, and external
+// refcounts of BddManager, implemented over a packed 16-byte node.
 //
-// This is exactly the block manager.hpp marks "item-1 shared": the state a
-// future shared concurrent manager (ROADMAP item 1) hands to multiple
-// workers, and the tier an external-memory backend (item 3) would swap out.
-// Pulling it behind one class gives those items a single surface to take
-// over, and lets the node representation change without touching the
-// algorithms above it.
+// The store is serial and in-RAM: one manager, one thread.  The arena is an
+// array of fixed 1024-record chunks reached as chunks_[i >> 10][i & 1023];
+// chunks are allocated on growth and never moved or freed, so growing never
+// copies the arena and never holds two copies of it at once.  Pulling the
+// state behind one class lets the node representation change without
+// touching the algorithms above it.
 //
 // The packed layout follows the two-u64-word idiom of distbdd-spin17's
 // bddnode.h (42-bit index / 20-bit level packing there), adapted to this
@@ -31,26 +31,21 @@
 // for the store's lifetime.  docs/node_layout.md is the full contract.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "bdd/edge.hpp"
 #include "bdd/options.hpp"
-#include "xmem/page_file.hpp"
-#include "xmem/paged_store.hpp"
-#include "xmem/stats.hpp"
 
 namespace icb {
 
 /// One BDD node in two 64-bit words.  The words are private: every consumer
-/// goes through NodeStore's field accessors, so the packing can change (or
-/// grow atomics for item 1) without touching callers.
+/// goes through NodeStore's field accessors, so the packing can change
+/// without touching callers.
 struct PackedNode {
  private:
   friend class NodeStore;
@@ -82,48 +77,49 @@ class NodeStore {
   /// Saturating reference count (terminal and projection pins park here).
   static constexpr std::uint32_t kMaxRef =
       std::numeric_limits<std::uint32_t>::max();
+  /// log2 records per arena chunk: 1024 records, 16 KiB.
+  static constexpr unsigned kChunkShift = 10;
+  static constexpr std::size_t kChunkRecords = std::size_t{1} << kChunkShift;
 
   explicit NodeStore(std::size_t initialCapacity);
 
   // ---- arena ---------------------------------------------------------------
 
   /// Arena extent: allocated + free-listed nodes + the terminal.
-  [[nodiscard]] std::size_t size() const { return nodes_.size(); }
+  [[nodiscard]] std::size_t size() const { return size_; }
 
   /// Nodes currently allocated (live + dead-awaiting-GC).
-  [[nodiscard]] std::uint64_t allocated() const {
-    return nodes_.size() - freeCount_;
-  }
+  [[nodiscard]] std::uint64_t allocated() const { return size_ - freeCount_; }
 
   [[nodiscard]] std::uint64_t freeCount() const { return freeCount_; }
 
   // ---- packed-field accessors ----------------------------------------------
 
   [[nodiscard]] unsigned varOf(std::uint32_t i) const {
-    return unpackVar(nodes_[i]);
+    return unpackVar(at(i));
   }
   [[nodiscard]] Edge hiOf(std::uint32_t i) const {
-    return unpackHi(nodes_[i]);
+    return unpackHi(at(i));
   }
   [[nodiscard]] Edge loOf(std::uint32_t i) const {
-    return unpackLo(nodes_[i]);
+    return unpackLo(at(i));
   }
   [[nodiscard]] std::uint32_t nextOf(std::uint32_t i) const {
-    return unpackNext(nodes_[i]);
+    return unpackNext(at(i));
   }
   [[nodiscard]] bool isFree(std::uint32_t i) const {
-    return unpackVar(nodes_[i]) == kFreeVar;
+    return unpackVar(at(i)) == kFreeVar;
   }
 
   /// Rewrites a node's function fields in place, keeping its chain link.
   /// Reordering (and the corruption hooks) mutate nodes this way; ordinary
   /// construction goes through allocate().
   void setFields(std::uint32_t i, unsigned var, Edge hi, Edge lo) {
-    packFields(nodes_[i], var, hi, lo);
+    packFields(at(i), var, hi, lo);
   }
-  void setHi(std::uint32_t i, Edge hi) { packHi(nodes_[i], hi); }
+  void setHi(std::uint32_t i, Edge hi) { packHi(at(i), hi); }
   void setNext(std::uint32_t i, std::uint32_t next) {
-    packNext(nodes_[i], next);
+    packNext(at(i), next);
   }
 
   // ---- unique table --------------------------------------------------------
@@ -148,9 +144,7 @@ class NodeStore {
   [[nodiscard]] bool wouldGrow() const { return freeHead_ == kNil; }
 
   /// True when the arena has outgrown the table (load factor above 1).
-  [[nodiscard]] bool needsRehash() const {
-    return nodes_.size() > buckets_.size();
-  }
+  [[nodiscard]] bool needsRehash() const { return size_ > buckets_.size(); }
 
   /// Allocates a node carrying (var, hi, lo) -- from the free list when
   /// possible, else by extending the arena -- and links it into its bucket.
@@ -179,8 +173,8 @@ class NodeStore {
 
   /// Marks node i free and pushes it onto the free list.
   void pushFree(std::uint32_t i) {
-    packFields(nodes_[i], kFreeVar, 0, 0);
-    packNext(nodes_[i], freeHead_);
+    packFields(at(i), kFreeVar, 0, 0);
+    packNext(at(i), freeHead_);
     freeHead_ = i;
     ++freeCount_;
   }
@@ -189,75 +183,6 @@ class NodeStore {
 
   /// Test hook (NodeSurgeon): desynchronizes the free-list counter.
   void bumpFreeCount(std::uint64_t delta) { freeCount_ += delta; }
-
-  // ---- concurrent (shared-apply) mode --------------------------------------
-  //
-  // Between beginConcurrent() and endConcurrent() the store is shared by the
-  // parallel apply workers (ROADMAP item 1).  The serial mutators above must
-  // not run; the only legal operations are findShared()/allocateShared(),
-  // the read-only field accessors (published nodes are immutable for the
-  // whole region), and allocatedShared().  Inside a region:
-  //
-  //   * allocation is bump-only from a pre-sized extent (the free list is
-  //     ignored; it is consumed again once the region ends),
-  //   * insertion is lock-free: a fresh node is written with the claim bit
-  //     (word0 bit 63, the spare docs/node_layout.md reserved) set, then
-  //     published by a CAS on its bucket head with the chain link folded
-  //     into word0 and the claim bit cleared in the same release store,
-  //   * a racing duplicate is abandoned onto a lock-free list and
-  //     free-listed at the next quiesce -- canonicity is preserved because
-  //     only the CAS winner's index ever escapes,
-  //   * the unique table never rehashes and the arena vector never
-  //     reallocates (beginConcurrent sized both), so references stay stable.
-  //
-  // GC, rehash, reordering, and every other serial mutator run only at
-  // quiesced safe points outside regions (docs/parallel.md).
-
-  /// Internal control-flow signal: a worker ran the pre-sized extent dry.
-  /// The manager quiesces, grows the slack, and retries the operation --
-  /// nothing allocated so far is lost (published nodes stay canonical).
-  struct GrowRequest {};
-
-  /// Enters concurrent mode: extends the arena by ~`slack` nodes of bump
-  /// headroom (clamped to the index cap) and pre-sizes the unique table so
-  /// no growth is needed mid-region.
-  void beginConcurrent(std::size_t slack);
-
-  /// Leaves concurrent mode: shrinks the arena back to the bump extent
-  /// (restoring the serial size()/allocated() invariants) and free-lists
-  /// every abandoned duplicate.
-  void endConcurrent();
-
-  [[nodiscard]] bool concurrent() const { return concurrent_; }
-
-  /// Lock-free hash-consing probe (acquire on the bucket head; all nodes on
-  /// the chain were release-published, so their words read consistently).
-  [[nodiscard]] std::uint32_t findShared(unsigned var, Edge hi, Edge lo,
-                                         std::uint64_t* chainSteps);
-
-  /// Lock-free find-or-add.  Returns the canonical index of (var, hi, lo):
-  /// the freshly published node (*createdNew = true) or the racing winner
-  /// already on the chain (*createdNew = false, own ticket abandoned).
-  /// Throws ResourceLimitError(kNodeIndexSpace) at the index cap and
-  /// GrowRequest when the pre-sized extent is exhausted; both leave the
-  /// extent hole-free.
-  std::uint32_t allocateShared(unsigned var, Edge hi, Edge lo,
-                               std::uint64_t* chainSteps,
-                               std::uint64_t* casRetries, bool* createdNew);
-
-  /// Allocated-node count valid inside a region (bump extent minus the
-  /// untouched free list); the concurrent analogue of allocated().
-  [[nodiscard]] std::uint64_t allocatedShared() const {
-    // relaxed: a monotonic watermark polled for limit checks; no ordering
-    // with the allocating workers' other writes is needed.
-    return bump_.load(std::memory_order_relaxed) - freeCount_;
-  }
-
-  /// True while node i carries the claim (in-flight) mark.  Outside a
-  /// region no node may: the structural checker audits exactly that.
-  [[nodiscard]] bool isClaimed(std::uint32_t i) const {
-    return unpackClaimed(nodes_[i]);
-  }
 
   // ---- external reference counts (sparse side table) -----------------------
 
@@ -307,59 +232,6 @@ class NodeStore {
 
   [[nodiscard]] std::uint32_t indexCap() const { return indexCap_; }
 
-  // ---- external-memory (spill) tier ----------------------------------------
-  //
-  // The arena is a PagedStore (src/xmem/): until the tier engages it is an
-  // all-resident paged vector; after engageSpill() at most a budgeted number
-  // of pages stay in RAM and the rest round-trip through a write-back page
-  // file under the armed spill directory.  Engagement is one-way for the
-  // store's lifetime, never happens inside a concurrent region (the manager
-  // forces the serial apply path once spilling), and is invisible to every
-  // accessor above -- docs/external_memory.md is the full contract.
-
-  /// Arms the tier: records where the page file would be created.  Arming
-  /// alone changes nothing -- engageSpill() mounts it.
-  void armSpill(std::string dir) { spillDir_ = std::move(dir); }
-
-  [[nodiscard]] bool spillArmed() const { return !spillDir_.empty(); }
-  [[nodiscard]] bool spillEngaged() const { return nodes_.engaged(); }
-
-  /// Mounts the spill tier: creates the page file and evicts the arena down
-  /// to roughly `budgetNodes` resident records (floored at the pager's
-  /// minimum).  No-op when already engaged; BddUsageError when not armed;
-  /// xmem::IoError when the page file cannot be created.  Must not be
-  /// called inside a concurrent region.
-  void engageSpill(std::uint64_t budgetNodes);
-
-  /// Pager counters/latency histograms; nullptr when the tier is not armed
-  /// (so unspilled telemetry stays byte-identical).
-  [[nodiscard]] const xmem::PagerStats* pagerStats() const {
-    return spillArmed() ? &pagerStats_ : nullptr;
-  }
-
-  /// Occupancy snapshot for icbdd_doctor --dump-store and /statusz.
-  struct SpillInfo {
-    bool armed = false;
-    bool engaged = false;
-    std::size_t pageCount = 0;      ///< pages the arena spans
-    std::size_t residentPages = 0;  ///< pages holding an in-RAM buffer
-    std::size_t budgetPages = 0;    ///< resident cap once engaged
-    std::uint64_t pageBytes = 0;    ///< bytes per page
-    std::uint64_t spillFileBytes = 0;  ///< page-file size on disk
-  };
-  [[nodiscard]] SpillInfo spillInfo() const;
-
-  /// Bytes of resident arena buffers right now (== size() * 16 rounded up
-  /// to pages until the tier engages).
-  [[nodiscard]] std::uint64_t residentArenaBytes() const {
-    return nodes_.residentBytes();
-  }
-
-  /// Page-table bookkeeping overhead of the paged arena.
-  [[nodiscard]] std::uint64_t pageTableBytes() const {
-    return nodes_.metadataBytes();
-  }
-
  private:
   // The packing lives in these private helpers only: public surfaces (this
   // class's accessors included) speak (var, hi, lo, next), never words.
@@ -368,10 +240,7 @@ class NodeStore {
   static constexpr std::uint64_t kEdgeMask = 0xFFFFFFFFull;
   static constexpr std::uint64_t kNextMask = 0x7FFFFFFFull;
   static constexpr std::uint64_t kVarMask = (1ull << kVarBits) - 1;
-  /// word0 bit 63 -- the reserved spare: set between a shared allocation's
-  /// ticket grab and its publish/abandon (the in-flight marker).  Always
-  /// clear on published, free-listed, and serially built nodes.
-  static constexpr std::uint64_t kClaimBit = 1ull << 63;
+  static constexpr std::size_t kChunkMask = kChunkRecords - 1;
 
   static unsigned unpackVar(const PackedNode& n) {
     return static_cast<unsigned>((n.word1 >> kVarShift) & kVarMask);
@@ -384,9 +253,6 @@ class NodeStore {
   }
   static std::uint32_t unpackNext(const PackedNode& n) {
     return static_cast<std::uint32_t>((n.word0 >> kNextShift) & kNextMask);
-  }
-  static bool unpackClaimed(const PackedNode& n) {
-    return (n.word0 & kClaimBit) != 0;
   }
   static void packFields(PackedNode& n, unsigned var, Edge hi, Edge lo) {
     n.word0 = (n.word0 & ~kEdgeMask) | static_cast<std::uint64_t>(hi);
@@ -401,32 +267,24 @@ class NodeStore {
               (static_cast<std::uint64_t>(next & kNextMask) << kNextShift);
   }
 
-  /// Shared chain walk from head `i` (concurrent mode).  Non-const because
-  /// std::atomic_ref over const words arrives only with C++26.
-  std::uint32_t chainSearch(std::uint32_t i, unsigned var, Edge hi, Edge lo,
-                            std::uint64_t* chainSteps);
+  PackedNode& at(std::uint32_t i) {
+    return chunks_[i >> kChunkShift][i & kChunkMask];
+  }
+  const PackedNode& at(std::uint32_t i) const {
+    return chunks_[i >> kChunkShift][i & kChunkMask];
+  }
 
-  /// Parks a claimed-but-unpublished node on the abandoned list (lock-free
-  /// push); endConcurrent() free-lists it.
-  void abandonShared(std::uint32_t index);
+  /// Appends one zeroed record at index size_, adding a chunk when the
+  /// last one is full.
+  PackedNode& append();
 
-  xmem::PagedStore<PackedNode> nodes_;
+  std::vector<std::unique_ptr<PackedNode[]>> chunks_;
+  std::size_t size_ = 0;  ///< records in use across the chunks
   std::vector<std::uint32_t> buckets_;  ///< unique-table heads
   std::uint32_t freeHead_ = kNil;
   std::uint64_t freeCount_ = 0;
   std::unordered_map<std::uint32_t, std::uint32_t> refs_;
   std::uint32_t indexCap_ = kMaxIndex;
-
-  // spill-tier state (docs/external_memory.md)
-  std::string spillDir_;                      ///< empty: tier not armed
-  std::unique_ptr<xmem::PageFile> spillFile_; ///< created at engageSpill()
-  xmem::PagerStats pagerStats_;
-
-  // concurrent-mode state (meaningful only between begin/endConcurrent)
-  bool concurrent_ = false;
-  std::size_t capacity_ = 0;                    ///< arena extent incl. slack
-  std::atomic<std::uint32_t> bump_{0};          ///< next fresh ticket
-  std::atomic<std::uint32_t> abandonedHead_{kNil};  ///< CAS-loser list
 };
 
 }  // namespace icb

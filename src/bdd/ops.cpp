@@ -20,8 +20,7 @@ namespace icb {
 Edge BddManager::andE(Edge f, Edge g) {
   ICBDD_CHECK(kCheap, validateEdge(f); validateEdge(g));
   const BddOpTimer timer(stats_, BddOp::kAnd);
-  const Edge result =
-      parallelEnabled() ? parApply(Op::kAnd, f, g, 0) : andRec(f, g);
+  const Edge result = andRec(f, g);
   ICBDD_CHECK(kCheap, validateEdge(result));
   return result;
 }
@@ -29,8 +28,7 @@ Edge BddManager::andE(Edge f, Edge g) {
 Edge BddManager::xorE(Edge f, Edge g) {
   ICBDD_CHECK(kCheap, validateEdge(f); validateEdge(g));
   const BddOpTimer timer(stats_, BddOp::kXor);
-  const Edge result =
-      parallelEnabled() ? parApply(Op::kXor, f, g, 0) : xorRec(f, g);
+  const Edge result = xorRec(f, g);
   ICBDD_CHECK(kCheap, validateEdge(result));
   return result;
 }
@@ -38,8 +36,7 @@ Edge BddManager::xorE(Edge f, Edge g) {
 Edge BddManager::iteE(Edge f, Edge g, Edge h) {
   ICBDD_CHECK(kCheap, validateEdge(f); validateEdge(g); validateEdge(h));
   const BddOpTimer timer(stats_, BddOp::kIte);
-  const Edge result =
-      parallelEnabled() ? parApply(Op::kIte, f, g, h) : iteRec(f, g, h);
+  const Edge result = iteRec(f, g, h);
   ICBDD_CHECK(kCheap, validateEdge(result));
   return result;
 }

@@ -40,29 +40,6 @@ struct BddOptions {
   /// Automatic sifting is pointless on tiny arenas: never fire below this
   /// many live nodes.
   std::uint64_t reorderMinLiveNodes = 4096;
-  /// Number of workers sharing this manager inside one apply (ROADMAP
-  /// item 1: intra-problem parallelism).  1 (the default) keeps the
-  /// historical single-threaded recursion byte-for-byte: no pool is
-  /// created, no atomics are touched on the hot path.  N > 1 spawns a
-  /// per-manager work-stealing pool of N workers (the calling thread
-  /// included) that splits cofactor subproblems of AND/XOR/ITE/EXISTS/
-  /// AND-EXISTS across a shared NodeStore and lock-free computed cache.
-  /// GC, reordering, and table growth still run only at quiesced safe
-  /// points between operations (docs/parallel.md).
-  unsigned applyWorkers = 1;
-  /// Arms the external-memory spill tier (ROADMAP item 3): when non-empty,
-  /// a run whose arena outgrows its RAM budget pages node arena pages
-  /// through a write-back scratch file under this directory instead of
-  /// aborting with kNodeLimit.  Empty (the default) leaves the tier off --
-  /// no page file, no bookkeeping, byte-identical behavior.
-  /// docs/external_memory.md covers tuning and failure modes.
-  std::string spillDir;
-  /// Resident RAM budget, in nodes, of the spill tier.  When nonzero the
-  /// tier engages proactively as soon as the arena crosses this many
-  /// allocated nodes (and the budget caps the resident page cache); when 0
-  /// the tier engages only where ResourceLimits::maxNodes would have
-  /// aborted the run, with the budget derived from that cap.
-  std::uint64_t spillThresholdNodes = 0;
 };
 
 /// Which resource gave out first when a run is aborted.  kNodes is the

@@ -21,14 +21,12 @@ inline Edge cubeNext(const BddManager& mgr, Edge cube) {
 Edge BddManager::existsE(Edge f, Edge cube) {
   ICBDD_CHECK(kCheap, validateEdge(f); validateEdge(cube));
   const BddOpTimer timer(stats_, BddOp::kExists);
-  if (parallelEnabled()) return parApply(Op::kExists, f, cube, 0);
   return existsRec(f, cube);
 }
 
 Edge BddManager::andExistsE(Edge f, Edge g, Edge cube) {
   ICBDD_CHECK(kCheap, validateEdge(f); validateEdge(g); validateEdge(cube));
   const BddOpTimer timer(stats_, BddOp::kAndExists);
-  if (parallelEnabled()) return parApply(Op::kAndExists, f, g, cube);
   return andExistsRec(f, g, cube);
 }
 

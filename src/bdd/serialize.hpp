@@ -23,9 +23,8 @@
 //
 // Binary format (icbdd-bdd-v3): a magic line followed by a little-endian
 // body -- near-memcpy of the topologically ordered node records.  See
-// docs/node_layout.md ("On-disk contract") for the full byte layout.  The
-// same record layout is used by the spill tier's page file.  loadBdds
-// auto-detects all three versions from the magic line.
+// docs/node_layout.md ("On-disk contract") for the full byte layout.
+// loadBdds auto-detects all three versions from the magic line.
 #pragma once
 
 #include <cstdint>

@@ -4,7 +4,6 @@
 #include <ostream>
 
 #include "bdd/manager.hpp"
-#include "xmem/stats.hpp"
 #include "ici/evaluate_policy.hpp"
 #include "ici/simplify.hpp"
 #include "ici/termination.hpp"
@@ -92,9 +91,6 @@ void MetricsRegistry::captureBdd(const BddManager& mgr) {
   add("bdd.cache.hits", s.cacheHits());
   add("bdd.cache.resizes", s.cacheResizes);
   add("bdd.ref.underflow", s.refUnderflows);
-  add("bdd.par.steals", s.parSteals);
-  add("bdd.par.cas_retries", s.parCasRetries);
-  add("bdd.par.cache_races", s.parCacheRaces);
   if (s.cacheLookups() > 0) {
     setGauge("bdd.cache.hit_rate", static_cast<double>(s.cacheHits()) /
                                        static_cast<double>(s.cacheLookups()));
@@ -109,19 +105,6 @@ void MetricsRegistry::captureBdd(const BddManager& mgr) {
   }
   mergeHistogram("bdd.gc.pause_us", s.gcPauseUs);
   mergeHistogram("bdd.reorder.pause_us", s.reorderPauseUs);
-
-  // External-memory tier: present only when the manager was armed for spill
-  // (pagerStats() is null otherwise), so unspilled runs emit byte-identical
-  // metric output to builds that predate the tier.
-  if (const xmem::PagerStats* pager = mgr.pagerStats()) {
-    add("bdd.xmem.page_faults", pager->pageFaults);
-    add("bdd.xmem.evictions", pager->evictions);
-    add("bdd.xmem.spill_bytes", pager->spillBytes);
-    add("bdd.xmem.read_bytes", pager->readBytes);
-    add("bdd.xmem.write_bytes", pager->writeBytes);
-    mergeHistogram("bdd.xmem.page_read_us", pager->pageReadUs);
-    mergeHistogram("bdd.xmem.page_write_us", pager->pageWriteUs);
-  }
 }
 
 void MetricsRegistry::captureTermination(const TerminationStats& stats) {

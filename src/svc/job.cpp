@@ -76,6 +76,15 @@ JobRequest parseJobRequest(const obs::JsonValue& request) {
   if (request.kind != obs::JsonValue::Kind::kObject) {
     throw std::invalid_argument("request must be a JSON object");
   }
+  // Fields of removed features are rejected rather than dropped: ignoring
+  // "spill": true would quietly turn a job that completed beyond its node
+  // cap into a node-limit verdict.
+  for (const char* removed : {"apply_workers", "spill"}) {
+    if (request.find(removed) != nullptr) {
+      throw std::invalid_argument(std::string("field '") + removed +
+                                  "' is no longer supported");
+    }
+  }
   JobRequest req;
   const obs::JsonValue* id = request.find("id");
   if (id == nullptr || id->kind != obs::JsonValue::Kind::kString) {
@@ -111,8 +120,6 @@ JobRequest parseJobRequest(const obs::JsonValue& request) {
   req.resume = boolField(request, "resume", false);
   req.autoReorder = boolField(request, "auto_reorder", false);
   req.reorderTrigger = doubleField(request, "reorder_trigger", 0.0);
-  req.applyWorkers = uintField(request, "apply_workers", 0);
-  req.spill = boolField(request, "spill", false);
   return req;
 }
 
@@ -122,7 +129,6 @@ BddOptions bddOptionsFor(const JobRequest& request) {
   if (request.reorderTrigger > 0.0) {
     options.reorderTrigger = request.reorderTrigger;
   }
-  options.applyWorkers = request.applyWorkers;
   return options;
 }
 

@@ -38,8 +38,6 @@ struct JobRequest {
   bool resume = false;              ///< pick up this id's journaled checkpoint
   bool autoReorder = false;
   double reorderTrigger = 0.0;      ///< 0 = BddOptions default
-  unsigned applyWorkers = 0;        ///< intra-problem apply workers; 0/1 = serial
-  bool spill = false;               ///< arm the spill-to-disk tier for this job
 };
 
 /// True when `id` is usable as a job id (and hence a journal file stem):
@@ -47,7 +45,9 @@ struct JobRequest {
 [[nodiscard]] bool validJobId(const std::string& id);
 
 /// Parses one request object.  Throws std::invalid_argument on a missing or
-/// malformed field (the message is safe to echo back in a job_rejected).
+/// malformed field, or on a field of a removed feature ("apply_workers",
+/// "spill"); the message is safe to echo back in a job_rejected.  Other
+/// unknown fields are ignored.
 [[nodiscard]] JobRequest parseJobRequest(const obs::JsonValue& request);
 
 /// Manager options implied by the request's reorder knobs.

@@ -1,7 +1,6 @@
 #include "svc/service.hpp"
 
 #include <algorithm>
-#include <filesystem>
 #include <sstream>
 #include <utility>
 
@@ -232,18 +231,7 @@ void VerifyService::runOneJob(const QueuedJob& job,
                               const par::CellContext& ctx) {
   const JobRequest& req = job.request;
   try {
-    BddOptions bddOptions = bddOptionsFor(req);
-    // The service-level default only fills in for requests that left
-    // "apply_workers" unset; an explicit request value always wins.
-    if (req.applyWorkers == 0) bddOptions.applyWorkers = options_.applyWorkers;
-    if (req.spill) {
-      bddOptions.spillDir =
-          !options_.spillDir.empty()
-              ? options_.spillDir
-              : std::filesystem::temp_directory_path().string();
-      bddOptions.spillThresholdNodes = options_.spillThresholdNodes;
-    }
-    BddManager mgr(bddOptions);
+    BddManager mgr(bddOptionsFor(req));
     ModelInstance model = buildJobModel(mgr, req);
     EngineOptions engineOptions = engineOptionsFor(req);
 
@@ -325,18 +313,6 @@ void VerifyService::runOneJob(const QueuedJob& job,
     metrics_.recordHistogram(
         "svc.job.peak_nodes",
         peakNodes <= 0.0 ? 0 : static_cast<std::uint64_t>(peakNodes));
-    if (result.spilled) {
-      // Fold the job's external-memory telemetry into the service registry
-      // so /metrics exposes fleet-wide bdd.xmem.* totals (jobs that never
-      // spilled contribute nothing, keeping the scrape noise-free).
-      metrics_.add("svc.jobs.spilled");
-      for (const auto& [name, value] : result.metrics.counters()) {
-        if (name.rfind("bdd.xmem.", 0) == 0) metrics_.add(name, value);
-      }
-      for (const auto& [name, h] : result.metrics.histograms()) {
-        if (name.rfind("bdd.xmem.", 0) == 0) metrics_.mergeHistogram(name, h);
-      }
-    }
 
     if (span.enabled()) {
       span.emit("job_end",
@@ -346,7 +322,6 @@ void VerifyService::runOneJob(const QueuedJob& job,
                     .put("iterations", result.iterations)
                     .put("seconds", runSeconds)
                     .put("queue_wait_s", queueWaitSeconds)
-                    .put("spilled", result.spilled)
                     .put("nodes_created", nodesCreated)
                     .put("peak_nodes",
                          peakNodes <= 0.0
@@ -363,7 +338,6 @@ void VerifyService::runOneJob(const QueuedJob& job,
         .put("seconds", result.seconds)
         .put("peak_iterate_nodes", result.peakIterateNodes)
         .put("peak_allocated_nodes", result.peakAllocatedNodes)
-        .put("spilled", result.spilled)
         .put("resumed", resumed)
         .put("worker", ctx.worker);
     if (resumed) o.put("resumed_from", resumedFrom);

@@ -65,21 +65,10 @@ struct ServiceOptions {
   /// Default checkpoint cadence in iterations (0 disables checkpointing
   /// for jobs that do not ask for it).
   unsigned checkpointEvery = 4;
-  /// Intra-problem apply workers for jobs that do not set "apply_workers"
-  /// themselves (0/1 = serial).  Independent of `workers`: that fans jobs
-  /// out across managers, this splits each BDD operation inside one.
-  unsigned applyWorkers = 0;
   /// Journal directory; empty runs without persistence (no cross-process
   /// resume, but in-request "resume" of a prior snapshot still works when
   /// a journal exists).
   std::string journalDir;
-  /// Spill directory for jobs that set "spill": true; empty falls back to
-  /// the system temp directory.  Arms BddOptions::spillDir per job
-  /// (docs/external_memory.md); jobs without the flag never spill.
-  std::string spillDir;
-  /// BddOptions::spillThresholdNodes for spill-armed jobs (0 = engage only
-  /// where max_nodes would otherwise abort the job).
-  std::uint64_t spillThresholdNodes = 0;
   /// Hold every accepted job until shutdown(), then run the whole queue as
   /// one batch.  Makes admission decisions independent of worker timing --
   /// the CI smoke test uses this to force a deterministic rejection.

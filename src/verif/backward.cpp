@@ -100,7 +100,6 @@ EngineResult runBackward(Fsm& fsm, const EngineOptions& options) {
   result.seconds = watch.elapsedSeconds();
   result.peakAllocatedNodes = mgr.stats().peakNodes;
   result.memBytesEstimate = mgr.bytesForNodes(result.peakAllocatedNodes);
-  result.spilled = mgr.spillEngaged();
   result.metrics.captureBdd(mgr);
   trace.runEnd(verdictName(result.verdict), result.iterations, result.seconds,
                result.peakIterateNodes, result.peakAllocatedNodes);

@@ -117,14 +117,6 @@ struct EngineOptions {
   /// Set by par::CellContext::apply when the scheduler runs with
   /// SchedulerOptions::cancelRunningCells.
   const std::atomic<bool>* cancelFlag = nullptr;
-  /// Intra-problem apply workers for this run: > 1 shares the manager's
-  /// unique table and computed cache across a work-stealing pool that splits
-  /// each AND/XOR/ITE/EXISTS/AND-EXISTS into cofactor subproblems
-  /// (docs/parallel.md).  Installed -- and restored on exit -- by
-  /// LimitGuard, so a shared manager leaves the run with its original
-  /// configuration.  0 = inherit whatever the manager was constructed with
-  /// (BddOptions::applyWorkers); 1 = force the byte-identical serial path.
-  unsigned applyWorkers = 0;
 
   EvaluatePolicyOptions policy;     ///< XICI evaluation policy knobs
   TerminationOptions termination;   ///< XICI exact-test knobs
@@ -156,12 +148,6 @@ struct EngineResult {
   /// the "total memory used" analogue.
   std::uint64_t peakAllocatedNodes = 0;
   std::uint64_t memBytesEstimate = 0;
-  /// True when the external-memory tier engaged during the run: the arena
-  /// paged through a spill file and the run completed beyond its RAM budget
-  /// instead of reporting kNodeLimit (docs/external_memory.md).  The
-  /// verdict, iteration count, and counterexample are identical to an
-  /// unspilled run with enough RAM.
-  bool spilled = false;
   std::string note;
   std::optional<Trace> trace;
   TerminationStats terminationStats;  ///< XICI only

@@ -17,16 +17,8 @@ class LimitGuard {
     }
     limits.cancelFlag = options.cancelFlag;
     mgr.setLimits(limits);
-    // Engine entry is a safe point (no operation mid-flight), so the run's
-    // apply-worker count installs here and the original comes back on exit.
-    // 0 inherits the manager's own configuration.
-    savedWorkers_ = mgr.applyWorkers();
-    if (options.applyWorkers > 0) mgr.setApplyWorkers(options.applyWorkers);
   }
-  ~LimitGuard() {
-    mgr_.setApplyWorkers(savedWorkers_);
-    mgr_.setLimits(saved_);
-  }
+  ~LimitGuard() { mgr_.setLimits(saved_); }
 
   LimitGuard(const LimitGuard&) = delete;
   LimitGuard& operator=(const LimitGuard&) = delete;
@@ -34,7 +26,6 @@ class LimitGuard {
  private:
   BddManager& mgr_;
   ResourceLimits saved_;
-  unsigned savedWorkers_ = 1;
 };
 
 }  // namespace icb

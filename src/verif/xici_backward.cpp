@@ -166,7 +166,6 @@ EngineResult runXiciBackward(Fsm& fsm, const EngineOptions& options) {
   result.seconds = watch.elapsedSeconds();
   result.peakAllocatedNodes = mgr.stats().peakNodes;
   result.memBytesEstimate = mgr.bytesForNodes(result.peakAllocatedNodes);
-  result.spilled = mgr.spillEngaged();
   result.metrics.capturePolicy(policyTotals);
   result.metrics.captureBdd(mgr);
   result.metrics.captureTermination(result.terminationStats);

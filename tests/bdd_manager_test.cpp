@@ -98,8 +98,8 @@ TEST(BddManagerBehaviour, AutoGcEventuallyCollects) {
 }
 
 TEST(BddManagerBehaviour, BytesForNodesIsMonotone) {
-  // Instance method since the estimate folds in the refcount side table and
-  // (when spilling) the page-cache overhead, both per-manager state.
+  // Instance method since the estimate folds in the refcount side table,
+  // which is per-manager state.
   BddManager mgr;
   EXPECT_LT(mgr.bytesForNodes(10), mgr.bytesForNodes(1000));
   // Arena bytes alone are a lower bound on the reported footprint.

@@ -9,15 +9,19 @@
 namespace icb {
 namespace {
 
+// Both fields are 64-bit so the struct has no padding: ctest lists each
+// case with the raw bytes of its parameter, and padding bytes would make
+// those listed names change from build to build.
 struct SweepParam {
-  unsigned nvars;
+  std::uint64_t nvars;
   std::uint64_t seed;
 };
 
 class OpsSweep : public ::testing::TestWithParam<SweepParam> {};
 
 TEST_P(OpsSweep, BinaryOpsMatchTruthTables) {
-  const auto [nvars, seed] = GetParam();
+  const auto nvars = static_cast<unsigned>(GetParam().nvars);
+  const std::uint64_t seed = GetParam().seed;
   BddManager mgr;
   for (unsigned i = 0; i < nvars; ++i) mgr.newVar();
   Rng rng(seed);
@@ -41,7 +45,8 @@ TEST_P(OpsSweep, BinaryOpsMatchTruthTables) {
 }
 
 TEST_P(OpsSweep, IteMatchesTruthTables) {
-  const auto [nvars, seed] = GetParam();
+  const auto nvars = static_cast<unsigned>(GetParam().nvars);
+  const std::uint64_t seed = GetParam().seed;
   BddManager mgr;
   for (unsigned i = 0; i < nvars; ++i) mgr.newVar();
   Rng rng(seed * 31 + 5);
@@ -60,7 +65,8 @@ TEST_P(OpsSweep, IteMatchesTruthTables) {
 }
 
 TEST_P(OpsSweep, CanonicityUnderRandomConstruction) {
-  const auto [nvars, seed] = GetParam();
+  const auto nvars = static_cast<unsigned>(GetParam().nvars);
+  const std::uint64_t seed = GetParam().seed;
   BddManager mgr;
   for (unsigned i = 0; i < nvars; ++i) mgr.newVar();
   Rng rng(seed * 77 + 1);

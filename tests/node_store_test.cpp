@@ -1,5 +1,6 @@
-// NodeStore seam tests: the packed 16-byte layout, the 31-bit index-space
-// guard, the deref-underflow guard, and cross-layout persistence.
+// NodeStore seam tests: the chunked arena, the packed 16-byte layout, the
+// 31-bit index-space guard, the deref-underflow guard, and cross-layout
+// persistence.
 //
 // The golden texts below were written by the PRE-packed node layout (the
 // 20-byte struct-of-fields arena) and are embedded verbatim: the packed
@@ -41,6 +42,159 @@ class ScopedCheckLevel {
  private:
   CheckLevel saved_;
 };
+
+// ---------------------------------------------------------------------------
+// chunked arena: records live in fixed 1024-record chunks that are added on
+// growth and never moved, so everything below crosses several boundaries.
+
+constexpr std::size_t kChunk = NodeStore::kChunkRecords;
+
+/// A distinct, non-free triple per n (var stays below kTermVar).
+struct Triple {
+  unsigned var;
+  Edge hi;
+  Edge lo;
+};
+Triple tripleFor(std::uint32_t n) {
+  return {n % 97, static_cast<Edge>(2 * n), static_cast<Edge>(2 * n + 3)};
+}
+
+/// Allocates triples 0..count-1, growing the unique table the way the
+/// manager does (load factor at most 1).
+std::vector<std::uint32_t> fill(NodeStore& store, std::uint32_t count) {
+  std::vector<std::uint32_t> index;
+  for (std::uint32_t n = 0; n < count; ++n) {
+    const Triple t = tripleFor(n);
+    index.push_back(store.allocate(t.var, t.hi, t.lo));
+    if (store.needsRehash()) store.rehash(store.bucketCount() * 2);
+  }
+  return index;
+}
+
+TEST(NodeStoreArena, FreshRecordsDecodeExactlyAcrossChunkBoundaries) {
+  NodeStore store(16);
+  ASSERT_EQ(store.size(), 1u);  // the terminal alone
+  EXPECT_EQ(store.varOf(0), NodeStore::kTermVar);
+
+  const auto count = static_cast<std::uint32_t>(4 * kChunk + 5);
+  std::uint64_t steps = 0;
+  for (std::uint32_t n = 0; n < count; ++n) {
+    // All-zero fields first: a record that was not zero when handed out
+    // would leak its stale bits into exactly these.
+    const Triple t = n == 0 ? Triple{0, 0, 0} : tripleFor(n);
+    const std::uint32_t i = store.allocate(t.var, t.hi, t.lo);
+    ASSERT_EQ(i, n + 1) << "fresh indices are dense";
+    EXPECT_EQ(store.varOf(i), t.var) << i;
+    EXPECT_EQ(store.hiOf(i), t.hi) << i;
+    EXPECT_EQ(store.loOf(i), t.lo) << i;
+    EXPECT_FALSE(store.isFree(i)) << i;
+    EXPECT_EQ(store.find(t.var, t.hi, t.lo, &steps), i) << i;
+  }
+  EXPECT_EQ(store.size(), count + 1u);
+  EXPECT_EQ(store.allocated(), count + 1u);
+  EXPECT_GT(store.size(), 4 * kChunk);
+}
+
+TEST(NodeStoreArena, NodesKeepTheirFieldsAcrossGrowth) {
+  NodeStore store(16);
+  const std::vector<std::uint32_t> first = fill(store, kChunk / 2);
+  // Edit two first-chunk nodes in place (the reorder path does this), then
+  // grow the arena by several chunks and several table doublings.
+  store.setFields(first[7], 5, 40, 41);
+  store.setHi(first[9], 99);
+  for (std::uint32_t n = kChunk / 2; n < 5 * kChunk; ++n) {
+    const Triple t = tripleFor(n);
+    (void)store.allocate(t.var, t.hi, t.lo);
+    if (store.needsRehash()) store.rehash(store.bucketCount() * 2);
+  }
+  ASSERT_GT(store.size(), 5 * kChunk);
+
+  EXPECT_EQ(store.varOf(first[7]), 5u);
+  EXPECT_EQ(store.hiOf(first[7]), 40u);
+  EXPECT_EQ(store.loOf(first[7]), 41u);
+  EXPECT_EQ(store.hiOf(first[9]), 99u);
+  for (std::uint32_t n = 0; n < first.size(); ++n) {
+    if (n == 7 || n == 9) continue;
+    const Triple t = tripleFor(n);
+    EXPECT_EQ(store.varOf(first[n]), t.var) << n;
+    EXPECT_EQ(store.hiOf(first[n]), t.hi) << n;
+    EXPECT_EQ(store.loOf(first[n]), t.lo) << n;
+  }
+}
+
+TEST(NodeStoreArena, FreeListAndRehashSpanEveryChunk) {
+  NodeStore store(16);
+  const std::vector<std::uint32_t> index = fill(store, 3 * kChunk);
+  // Free every third node -- records in every chunk -- the way GC's sweep
+  // does, then rebuild the chains over the whole multi-chunk arena.
+  store.resetFreeList();
+  std::uint64_t freed = 0;
+  for (std::uint32_t n = 0; n < index.size(); n += 3) {
+    store.pushFree(index[n]);
+    ++freed;
+  }
+  store.rehash(store.bucketCount());
+  EXPECT_EQ(store.freeCount(), freed);
+  std::uint64_t steps = 0;
+  for (std::uint32_t n = 0; n < index.size(); ++n) {
+    const Triple t = tripleFor(n);
+    if (n % 3 == 0) {
+      EXPECT_TRUE(store.isFree(index[n])) << n;
+      EXPECT_EQ(store.hiOf(index[n]), 0u) << n;
+      EXPECT_EQ(store.loOf(index[n]), 0u) << n;
+      EXPECT_EQ(store.find(t.var, t.hi, t.lo, &steps), NodeStore::kNil) << n;
+    } else {
+      EXPECT_EQ(store.find(t.var, t.hi, t.lo, &steps), index[n]) << n;
+    }
+  }
+  // Reallocation drains the free list before the arena grows again.
+  const std::size_t extent = store.size();
+  for (std::uint64_t k = 0; k < freed; ++k) {
+    const Triple t = tripleFor(static_cast<std::uint32_t>(10 * kChunk + k));
+    const std::uint32_t i = store.allocate(t.var, t.hi, t.lo);
+    EXPECT_LT(i, extent);
+    EXPECT_EQ(store.varOf(i), t.var);
+  }
+  EXPECT_EQ(store.size(), extent);
+  EXPECT_EQ(store.freeCount(), 0u);
+  EXPECT_TRUE(store.wouldGrow());
+}
+
+TEST(NodeStoreArena, GcOverMultiChunkArenaKeepsAuditClean) {
+  BddManager mgr;
+  for (unsigned i = 0; i < 14; ++i) mgr.newVar();
+  Rng rng(5);
+  std::vector<Bdd> keep;
+  std::vector<double> counts;
+  {
+    std::vector<Bdd> scratch;
+    while (NodeSurgeon::nodeCount(mgr) < 4 * kChunk) {
+      scratch.push_back(test::randomBdd(mgr, 14, rng, 7));
+      if (scratch.size() % 4 == 0) {
+        keep.push_back(scratch.back());
+        counts.push_back(keep.back().satCount(14));
+      }
+    }
+  }  // three quarters of the roots die here
+  const std::uint32_t extent = NodeSurgeon::nodeCount(mgr);
+  ASSERT_GT(extent, 4 * kChunk);
+
+  EXPECT_GT(mgr.gc(), 0u);  // sweep + rehash over every chunk
+  EXPECT_EQ(NodeSurgeon::nodeCount(mgr), extent) << "chunks are never freed";
+  EXPECT_TRUE(StructuralChecker(mgr).run(CheckLevel::kFull).ok());
+
+  // Refill the swept holes and grow past the old extent; the survivors
+  // still denote what they did.
+  std::vector<Bdd> more;
+  while (NodeSurgeon::nodeCount(mgr) < extent + 2 * kChunk) {
+    more.push_back(test::randomBdd(mgr, 14, rng, 7));
+  }
+  const CheckReport report = StructuralChecker(mgr).run(CheckLevel::kFull);
+  EXPECT_TRUE(report.ok()) << report.summary();
+  for (std::size_t k = 0; k < keep.size(); ++k) {
+    EXPECT_EQ(keep[k].satCount(14), counts[k]) << k;
+  }
+}
 
 // ---------------------------------------------------------------------------
 // index-space guard (the arena-bounds bugfix)

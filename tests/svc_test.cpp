@@ -466,6 +466,58 @@ TEST(SvcRequest, ParseAndValidation) {
                std::invalid_argument);
 }
 
+/// Parses `line` expecting a rejection; returns the exception message.
+std::string rejectionMessage(const std::string& line) {
+  try {
+    (void)parseJobRequest(obs::parseJson(line));
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "accepted: " << line;
+  return {};
+}
+
+// Fields of removed features must fail loudly: dropping them like other
+// unknown fields would run a different job than the one asked for (a job
+// relying on "spill": true would quietly end in node-limit).
+TEST(SvcRequest, RemovedApplyWorkersFieldIsRejectedByName) {
+  EXPECT_NE(rejectionMessage(
+                R"({"id":"a","model":"fifo","apply_workers":4})")
+                .find("'apply_workers'"),
+            std::string::npos);
+  // Even the value that used to mean "serial" is rejected.
+  EXPECT_NE(rejectionMessage(
+                R"({"id":"a","model":"fifo","apply_workers":1})")
+                .find("'apply_workers'"),
+            std::string::npos);
+}
+
+TEST(SvcRequest, RemovedSpillFieldIsRejectedByName) {
+  EXPECT_NE(rejectionMessage(R"({"id":"a","model":"fifo","spill":true})")
+                .find("'spill'"),
+            std::string::npos);
+  EXPECT_NE(rejectionMessage(R"({"id":"a","model":"fifo","spill":false})")
+                .find("'spill'"),
+            std::string::npos);
+
+  // Through the service: a typed job_rejected that names the field, and
+  // nothing runs.
+  ServiceOptions options;
+  options.drain = true;
+  Capture cap;
+  VerifyService service(options, cap.emit());
+  EXPECT_FALSE(service.submitLine(
+      R"({"id":"s1","model":"mutex","size":3,"spill":true})"));
+  service.shutdown();
+  const auto rejected = cap.ofType("job_rejected");
+  ASSERT_EQ(rejected.size(), 1u);
+  EXPECT_EQ(rejected[0]->find("id")->textOr(""), "s1");
+  EXPECT_EQ(rejected[0]->find("reason")->textOr(""), "invalid_request");
+  EXPECT_NE(rejected[0]->find("detail")->textOr("").find("'spill'"),
+            std::string::npos);
+  EXPECT_TRUE(cap.ofType("job_result").empty());
+}
+
 TEST(SvcService, ParallelBatchCompletesEveryJob) {
   ServiceOptions options;
   options.workers = 4;
