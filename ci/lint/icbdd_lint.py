@@ -13,7 +13,9 @@ marker macros):
                        only under an ICBDD_SAFE_POINT(...) marker (within
                        the preceding 12 lines): both mutate or serialize
                        manager state that is only coherent at iteration
-                       boundaries.
+                       boundaries.  The engine run protocol's endStep() and
+                       emitCheckpoint() (src/verif/engine_run.hpp) reach
+                       them, so engine calls to those need the marker too.
   L3  raw-node-escape  no interior node representation in a public surface:
                        no Node pointer/reference and no packed-word
                        (word0/word1) accessor in a public section of a src
@@ -81,6 +83,7 @@ ENGINE_FILES = {
     "src/verif/fd_forward.cpp",
     "src/verif/ici_backward.cpp",
     "src/verif/xici_backward.cpp",
+    "src/verif/engine_run.cpp",
 }
 ENGINE_DIR_PREFIXES = ("src/ici/",)
 
@@ -97,6 +100,8 @@ BANNED_IO = [
 REORDER_CALL = re.compile(r"\bautoReorderIfNeeded\s*\(")
 SAFE_POINT = re.compile(r"\bICBDD_SAFE_POINT\s*\(")
 CKPT_DECL = re.compile(r"\bCheckpointEmitter\s+(\w+)\s*[({]")
+# EngineRun methods that reorder (endStep) or checkpoint (emitCheckpoint).
+DRIVER_CALL = re.compile(r"(?:\.|->)\s*(endStep|emitCheckpoint)\s*\(")
 SUPPRESS = re.compile(r"\bICBDD_LINT_SUPPRESS\s*\(\s*(L[1-5])\s*,")
 
 PUBLIC_NODE = re.compile(r"\bNode\s*[*&]")
@@ -318,6 +323,12 @@ class FileLinter:
                 self.emit(num, "L2",
                           "checkpoint emit without an ICBDD_SAFE_POINT "
                           f"marker in the preceding {SAFE_POINT_WINDOW} lines")
+            driver = DRIVER_CALL.search(line.code)
+            if driver and not registered(num):
+                self.emit(num, "L2",
+                          f"{driver.group(1)}() reorders or checkpoints; no "
+                          "ICBDD_SAFE_POINT marker in the preceding "
+                          f"{SAFE_POINT_WINDOW} lines")
 
     def check_node_escape(self) -> None:
         # Part 1 (headers): Node* / Node& in a public class section.

@@ -29,7 +29,6 @@
 #include "bdd/node_store.hpp"
 #include "bdd/options.hpp"
 #include "obs/histogram.hpp"
-#include "util/timer.hpp"
 
 namespace icb {
 
@@ -90,11 +89,7 @@ struct BddStats {
   /// Computed-cache hit/miss per operation kind, indexed by BddOp.
   std::array<BddOpCacheStats, kBddOpCount> opCache{};
 
-  /// Wall-clock latency distributions, microseconds.  Recorded at *public*
-  /// entry points only (BddOpTimer around iteE/andE/...), never in the
-  /// recursive bodies, so one user-visible apply contributes one sample and
-  /// the hot recursion stays timer-free.  Indexed by BddOp like opCache.
-  std::array<obs::Histogram, kBddOpCount> applyLatencyUs{};
+  /// Wall-clock pause distributions, microseconds.
   obs::Histogram gcPauseUs;       ///< full mark-and-sweep pauses
   obs::Histogram reorderPauseUs;  ///< complete sift() passes (incl. capped)
 
@@ -115,28 +110,6 @@ struct BddStats {
     for (const BddOpCacheStats& s : opCache) total += s.hits;
     return total;
   }
-};
-
-/// RAII scope timing one *public* apply entry point (iteE, andE, existsE,
-/// ...) into BddStats::applyLatencyUs[op].  Constructed only at the outer
-/// call -- the recursive helpers never instantiate one -- so every sample is
-/// one user-visible operation and the inner loops stay clock-free.
-class BddOpTimer {
- public:
-  BddOpTimer(BddStats& stats, BddOp op) : stats_(stats), op_(op) {}
-  ~BddOpTimer() {
-    const double us = watch_.elapsedSeconds() * 1e6;
-    stats_.applyLatencyUs[static_cast<std::size_t>(op_)].record(
-        us <= 0.0 ? 0 : static_cast<std::uint64_t>(us));
-  }
-
-  BddOpTimer(const BddOpTimer&) = delete;
-  BddOpTimer& operator=(const BddOpTimer&) = delete;
-
- private:
-  BddStats& stats_;
-  BddOp op_;
-  Stopwatch watch_;
 };
 
 // A manager is confined to one thread: the scheduler and the service give

@@ -19,7 +19,6 @@ namespace icb {
 
 Edge BddManager::andE(Edge f, Edge g) {
   ICBDD_CHECK(kCheap, validateEdge(f); validateEdge(g));
-  const BddOpTimer timer(stats_, BddOp::kAnd);
   const Edge result = andRec(f, g);
   ICBDD_CHECK(kCheap, validateEdge(result));
   return result;
@@ -27,7 +26,6 @@ Edge BddManager::andE(Edge f, Edge g) {
 
 Edge BddManager::xorE(Edge f, Edge g) {
   ICBDD_CHECK(kCheap, validateEdge(f); validateEdge(g));
-  const BddOpTimer timer(stats_, BddOp::kXor);
   const Edge result = xorRec(f, g);
   ICBDD_CHECK(kCheap, validateEdge(result));
   return result;
@@ -35,7 +33,6 @@ Edge BddManager::xorE(Edge f, Edge g) {
 
 Edge BddManager::iteE(Edge f, Edge g, Edge h) {
   ICBDD_CHECK(kCheap, validateEdge(f); validateEdge(g); validateEdge(h));
-  const BddOpTimer timer(stats_, BddOp::kIte);
   const Edge result = iteRec(f, g, h);
   ICBDD_CHECK(kCheap, validateEdge(result));
   return result;

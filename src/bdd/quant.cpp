@@ -20,13 +20,11 @@ inline Edge cubeNext(const BddManager& mgr, Edge cube) {
 
 Edge BddManager::existsE(Edge f, Edge cube) {
   ICBDD_CHECK(kCheap, validateEdge(f); validateEdge(cube));
-  const BddOpTimer timer(stats_, BddOp::kExists);
   return existsRec(f, cube);
 }
 
 Edge BddManager::andExistsE(Edge f, Edge g, Edge cube) {
   ICBDD_CHECK(kCheap, validateEdge(f); validateEdge(g); validateEdge(cube));
-  const BddOpTimer timer(stats_, BddOp::kAndExists);
   return andExistsRec(f, g, cube);
 }
 

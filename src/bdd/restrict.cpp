@@ -26,14 +26,12 @@ namespace icb {
 Edge BddManager::restrictE(Edge f, Edge c) {
   ICBDD_CHECK(kCheap, validateEdge(f); validateEdge(c));
   ++stats_.restrictCalls;
-  const BddOpTimer timer(stats_, BddOp::kRestrict);
   return restrictRec(f, c);
 }
 
 Edge BddManager::constrainE(Edge f, Edge c) {
   ICBDD_CHECK(kCheap, validateEdge(f); validateEdge(c));
   ++stats_.constrainCalls;
-  const BddOpTimer timer(stats_, BddOp::kConstrain);
   return constrainRec(f, c);
 }
 

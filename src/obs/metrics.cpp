@@ -96,13 +96,6 @@ void MetricsRegistry::captureBdd(const BddManager& mgr) {
                                        static_cast<double>(s.cacheLookups()));
   }
 
-  for (std::size_t op = 1; op < kBddOpCount; ++op) {
-    const Histogram& h = s.applyLatencyUs[op];
-    if (h.empty()) continue;
-    mergeHistogram(std::string("bdd.apply.") + bddOpName(static_cast<BddOp>(op)) +
-                       ".latency_us",
-                   h);
-  }
   mergeHistogram("bdd.gc.pause_us", s.gcPauseUs);
   mergeHistogram("bdd.reorder.pause_us", s.reorderPauseUs);
 }

@@ -15,7 +15,7 @@ constexpr MetricCatalogEntry kCatalog[] = {
 #include "obs/metric_catalog.inc"
 };
 
-/// True when wildcard segment-list `entry` ("bdd.apply.<op>.latency_us")
+/// True when wildcard segment-list `entry` ("bdd.cache.<op>.hits")
 /// matches concrete `name`: segment counts agree, `<op>` segments match one
 /// nonempty lowercase identifier, everything else matches literally.
 bool wildcardMatches(std::string_view entry, std::string_view name) {

@@ -72,7 +72,7 @@ Bdd Fsm::preImage(const Bdd& z) const {
   }
   for (const unsigned v : vars_.inputVars()) quantVars.push_back(v);
   return clusteredExistsProduct(*mgr_, renamed, conjuncts, quantVars,
-                                /*clusterCap=*/5000);
+                                kClusterCap);
 }
 
 Bdd Fsm::backImageByCompose(const Bdd& z) const {

@@ -44,9 +44,13 @@ Bdd clusteredExistsProduct(BddManager& mgr, const Bdd& base,
                            const std::vector<unsigned>& quantVars,
                            std::uint64_t clusterCap);
 
+/// Node cap for one cluster of transition conjuncts, in both directions:
+/// the forward images' default and the relational Pre/BackImage's cap.
+inline constexpr std::uint64_t kClusterCap = 5000;
+
 struct ImageOptions {
   /// Node cap for one cluster of transition conjuncts.
-  std::uint64_t clusterCap = 5000;
+  std::uint64_t clusterCap = kClusterCap;
   /// Build one monolithic relation instead of clusters (test oracle).
   bool monolithic = false;
 };

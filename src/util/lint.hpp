@@ -20,8 +20,9 @@
 
 /// Registers the next statement(s) as an engine safe point: the iteration
 /// boundary where no edge-level results are live, so reordering and
-/// checkpoint emission are legal.  Rule L2 flags autoReorderIfNeeded() and
-/// CheckpointEmitter::emit() call sites that are not under such a marker.
+/// checkpoint emission are legal.  Rule L2 flags autoReorderIfNeeded(),
+/// CheckpointEmitter::emit(), and the EngineRun methods that reach them
+/// (endStep, emitCheckpoint) when a call site is not under such a marker.
 #define ICBDD_SAFE_POINT(what) static_assert(true, "icbdd safe point")
 
 /// Suppresses one lint finding on this line or the next.  `rule` is the

@@ -34,11 +34,11 @@ void saveSnapshot(std::ostream& os, const BddManager& mgr,
 /// Throws SerializeError (a BddUsageError) on malformed or truncated input.
 EngineSnapshot loadSnapshot(std::istream& is, BddManager& mgr);
 
-/// The per-engine checkpoint hook.  Engines construct one next to their
-/// LimitGuard and call `maybeEmit` once per loop pass at the iteration
-/// boundary; it handles the every-N cadence, skips the iteration the run was
-/// resumed at (that state is already journaled), and credits the sink's wall
-/// time back to the manager deadline.
+/// The engine checkpoint hook, owned by EngineRun (verif/engine_run.hpp)
+/// and driven once per loop pass at the iteration boundary: it handles the
+/// every-N cadence, skips the iteration the run was resumed at (that state
+/// is already journaled), and credits the sink's wall time back to the
+/// manager deadline.
 class CheckpointEmitter {
  public:
   CheckpointEmitter(BddManager& mgr, const CheckpointOptions& options,

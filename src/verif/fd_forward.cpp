@@ -4,14 +4,9 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "check/check.hpp"
-#include "check/structural_checker.hpp"
-#include "obs/trace.hpp"
-#include "util/lint.hpp"
-#include "util/timer.hpp"
 #include "sym/image.hpp"
-#include "verif/checkpoint.hpp"
-#include "verif/limit_guard.hpp"
+#include "util/lint.hpp"
+#include "verif/engine_run.hpp"
 
 namespace icb {
 
@@ -55,38 +50,25 @@ class DepSubstituter {
 
 EngineResult runFdForward(Fsm& fsm, std::vector<unsigned> candidateBits,
                           const EngineOptions& options) {
-  fsm.validate();
-  BddManager& mgr = fsm.mgr();
-  EngineResult result;
-  result.method = Method::kFd;
-  Stopwatch watch;
-  mgr.resetStats();
-  LimitGuard guard(mgr, options);
-  obs::TraceSession trace(options.traceSink, &mgr, options.traceWorker,
-                          options.traceJob);
-  trace.runBegin(methodName(result.method));
-
-  try {
+  return runEngine(fsm, Method::kFd, options, [&](EngineRun& run) {
+    BddManager& mgr = fsm.mgr();
+    EngineResult& result = run.result();
     const ConjunctList property = fsm.property(options.withAssists);
 
     // ---- initial dependency extraction from the initial states ----------
     Bdd reduced = fsm.init();
     std::vector<Dep> deps;
     std::unordered_set<unsigned> dependent;
-    CheckpointEmitter ckpt(mgr, options.checkpoint, Method::kFd);
-    if (const EngineSnapshot* resume = options.checkpoint.resume) {
-      if (resume->method != Method::kFd || resume->lists.size() != 2 ||
-          resume->lists[0].size() != 1 ||
-          resume->lists[1].size() != resume->numbers.size()) {
-        throw BddUsageError("runFdForward: incompatible resume snapshot");
-      }
+    if (const EngineSnapshot* resume = run.resume([](const EngineSnapshot& s) {
+          return s.lists.size() == 2 && s.lists[0].size() == 1 &&
+                 s.lists[1].size() == s.numbers.size();
+        })) {
       reduced = resume->lists[0][0];
       for (std::size_t d = 0; d < resume->numbers.size(); ++d) {
         const unsigned bit = static_cast<unsigned>(resume->numbers[d]);
         deps.push_back(Dep{bit, resume->lists[1][d]});
         dependent.insert(bit);
       }
-      result.iterations = resume->iteration;
     } else {
       for (const unsigned bit : candidateBits) {
         const unsigned v = fsm.vars().stateBit(bit).cur;
@@ -121,20 +103,13 @@ EngineResult runFdForward(Fsm& fsm, std::vector<unsigned> candidateBits,
     while (true) {
       // ---- peak metric: the factored representation's shared size -------
       {
-        std::vector<Bdd> parts{reduced};
-        for (const Dep& d : deps) parts.push_back(d.h);
-        const std::uint64_t nodes = sharedSize(parts);
-        if (nodes > result.peakIterateNodes) {
-          result.peakIterateNodes = nodes;
-          result.peakIterateMemberSizes.clear();
-          for (const Bdd& p : parts) {
-            result.peakIterateMemberSizes.push_back(p.size());
-          }
-        }
+        ConjunctList parts(&mgr, {reduced});
+        for (const Dep& d : deps) parts.push(d.h);
+        run.trackPeak(parts);
       }
 
       ICBDD_SAFE_POINT("fd loop head: reduced/deps are the whole state");
-      if (ckpt.due(result.iterations)) {
+      if (run.checkpointDue()) {
         std::vector<Bdd> hs;
         std::vector<std::uint64_t> bits;
         hs.reserve(deps.size());
@@ -143,8 +118,7 @@ EngineResult runFdForward(Fsm& fsm, std::vector<unsigned> candidateBits,
           hs.push_back(d.h);
           bits.push_back(d.bit);
         }
-        ckpt.emit(result.iterations, {{reduced}, std::move(hs)},
-                  std::move(bits));
+        run.emitCheckpoint({{reduced}, std::move(hs)}, std::move(bits));
       }
 
       // ---- property check on the factored form ---------------------------
@@ -163,13 +137,8 @@ EngineResult runFdForward(Fsm& fsm, std::vector<unsigned> candidateBits,
         break;
       }
 
-      if (result.iterations >= options.maxIterations) {
-        result.verdict = Verdict::kIterationLimit;
-        break;
-      }
-
       // ---- image over the independent bits -------------------------------
-      trace.phaseBegin("image", result.iterations + 1);
+      if (!run.beginStep("image")) break;
       const std::vector<unsigned> ind = independentBits();
       std::vector<Bdd> nextFns(fsm.vars().stateBitCount());
       for (unsigned k = 0; k < fsm.vars().stateBitCount(); ++k) {
@@ -237,13 +206,11 @@ EngineResult runFdForward(Fsm& fsm, std::vector<unsigned> candidateBits,
           imageH[d] = a1;
         }
       }
+
       if (promoted) {
-        // Close the span: this attempt's work is re-done next pass with the
-        // promoted bit independent, under the same iteration number.
-        if (trace.enabled()) {
-          trace.phaseEnd("image", result.iterations + 1, mgr.allocatedNodes(),
-                         mgr.stats().peakNodes, {});
-        }
+        // This attempt's work is re-done next pass with the promoted bit
+        // independent, under the same iteration number.
+        run.abandonStep("image");
         continue;  // rebuild images with the bit independent
       }
 
@@ -256,27 +223,18 @@ EngineResult runFdForward(Fsm& fsm, std::vector<unsigned> candidateBits,
         }
       }
       if (promoted) {
-        if (trace.enabled()) {
-          trace.phaseEnd("image", result.iterations + 1, mgr.allocatedNodes(),
-                         mgr.stats().peakNodes, {});
-        }
+        run.abandonStep("image");
         continue;
       }
 
-      ++result.iterations;
-      // Phase boundary: this step's iterate is complete; at kFull,
-      // audit the whole arena before trusting it.
-      ICBDD_CHECK(kFull, auditArenaCreditingTime(mgr));
-      if (trace.enabled()) {
-        std::vector<std::uint64_t> sizes{reduced.size()};
-        for (const Dep& d : deps) sizes.push_back(d.h.size());
-        trace.phaseEnd("image", result.iterations, mgr.allocatedNodes(),
-                       mgr.stats().peakNodes, sizes);
-      }
       // Iteration boundary: no edge-level results live (DepSubstituter maps
       // are rebuilt per step and rooted in handles), safe to reorder.
       ICBDD_SAFE_POINT("fd image complete, substituter maps rebuilt next step");
-      mgr.autoReorderIfNeeded();
+      run.endStep("image", [&] {
+        std::vector<std::uint64_t> sizes{reduced.size()};
+        for (const Dep& d : deps) sizes.push_back(d.h.size());
+        return sizes;
+      });
 
       // Converged when the image adds no new independent-part states AND
       // the image dependencies agree with the current ones on the image.
@@ -299,18 +257,7 @@ EngineResult runFdForward(Fsm& fsm, std::vector<unsigned> candidateBits,
       }
       reduced = united;
     }
-  } catch (const ResourceLimitError& err) {
-    result.verdict = verdictForResourceLimit(err.kind());
-    mgr.gc();
-  }
-
-  result.seconds = watch.elapsedSeconds();
-  result.peakAllocatedNodes = mgr.stats().peakNodes;
-  result.memBytesEstimate = mgr.bytesForNodes(result.peakAllocatedNodes);
-  result.metrics.captureBdd(mgr);
-  trace.runEnd(verdictName(result.verdict), result.iterations, result.seconds,
-               result.peakIterateNodes, result.peakAllocatedNodes);
-  return result;
+  });
 }
 
 }  // namespace icb

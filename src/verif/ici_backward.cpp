@@ -4,27 +4,12 @@
 #include <set>
 
 #include "ici/simplify.hpp"
-#include "check/check.hpp"
-#include "check/structural_checker.hpp"
-#include "obs/trace.hpp"
 #include "util/lint.hpp"
-#include "util/timer.hpp"
-#include "verif/checkpoint.hpp"
-#include "verif/counterexample.hpp"
-#include "verif/limit_guard.hpp"
+#include "verif/engine_run.hpp"
 
 namespace icb {
 
 namespace {
-
-/// Records the iterate's size metrics into the result.
-void trackPeak(EngineResult& result, const ConjunctList& list) {
-  const std::uint64_t nodes = list.sharedNodeCount();
-  if (nodes > result.peakIterateNodes) {
-    result.peakIterateNodes = nodes;
-    result.peakIterateMemberSizes = list.memberSizes();
-  }
-}
 
 /// Restrict-based cross-simplification that keeps every position in place
 /// (members may become constant TRUE but are never dropped): the original
@@ -61,18 +46,8 @@ void simplifyPositionwise(ConjunctList& list, const SimplifyOptions& options) {
 }  // namespace
 
 EngineResult runIciBackward(Fsm& fsm, const EngineOptions& options) {
-  fsm.validate();
-  BddManager& mgr = fsm.mgr();
-  EngineResult result;
-  result.method = Method::kIci;
-  Stopwatch watch;
-  mgr.resetStats();
-  LimitGuard guard(mgr, options);
-  obs::TraceSession trace(options.traceSink, &mgr, options.traceWorker,
-                          options.traceJob);
-  trace.runBegin(methodName(result.method));
-
-  try {
+  return runEngine(fsm, Method::kIci, options, [&](EngineRun& run) {
+    BddManager& mgr = fsm.mgr();
     // The user-supplied partition, positions fixed for the whole run.
     std::vector<Bdd> g0items = fsm.invariantConjuncts();
     if (options.withAssists) {
@@ -85,20 +60,7 @@ EngineResult runIciBackward(Fsm& fsm, const EngineOptions& options) {
     ConjunctList current = g0;
     simplifyPositionwise(current, simplify);
     std::vector<ConjunctList> layers{current};
-
-    CheckpointEmitter ckpt(mgr, options.checkpoint, Method::kIci);
-    if (const EngineSnapshot* resume = options.checkpoint.resume) {
-      if (resume->method != Method::kIci || resume->lists.size() < 2) {
-        throw BddUsageError("runIciBackward: incompatible resume snapshot");
-      }
-      g0 = ConjunctList(&mgr, resume->lists[0]);
-      layers.clear();
-      for (std::size_t i = 1; i < resume->lists.size(); ++i) {
-        layers.emplace_back(&mgr, resume->lists[i]);
-      }
-      current = layers.back();
-      result.iterations = resume->iteration;
-    }
+    if (run.resumeLayers(g0, layers)) current = layers.back();
 
     // Signatures of every list seen so far.  The G_i semantics are monotone
     // (G_{i+1} subset G_i), so revisiting ANY earlier syntactic form proves
@@ -117,38 +79,11 @@ EngineResult runIciBackward(Fsm& fsm, const EngineOptions& options) {
     for (const ConjunctList& layer : layers) seen.insert(signatureOf(layer));
 
     while (true) {
-      trackPeak(result, current);
+      run.trackPeak(current);
       ICBDD_SAFE_POINT("ici loop head: g0/layers are the whole state");
-      if (ckpt.due(result.iterations)) {
-        std::vector<std::vector<Bdd>> lists;
-        lists.reserve(layers.size() + 1);
-        lists.emplace_back(g0.begin(), g0.end());
-        for (const ConjunctList& layer : layers) {
-          lists.emplace_back(layer.begin(), layer.end());
-        }
-        ckpt.emit(result.iterations, std::move(lists));
-      }
+      if (run.checkpointDue()) run.emitCheckpoint(layeredLists(g0, layers));
 
-      // Violation check, member by member: S !subset L[j].
-      bool violated = false;
-      for (const Bdd& c : current) {
-        if (!(fsm.init() & !c).isZero()) {
-          violated = true;
-          break;
-        }
-      }
-      if (violated) {
-        result.verdict = Verdict::kViolated;
-        if (options.wantTrace) {
-          result.trace = buildBackwardTrace(fsm, layers);
-        }
-        break;
-      }
-
-      if (result.iterations >= options.maxIterations) {
-        result.verdict = Verdict::kIterationLimit;
-        break;
-      }
+      if (run.violatedAt(layers)) break;
 
       // Positionwise update against the original partition:
       //   L'[j] = G_0[j] & BackImage(L[j]),
@@ -158,7 +93,7 @@ EngineResult runIciBackward(Fsm& fsm, const EngineOptions& options) {
       // invariants" setup of Table 1 -- this collapses BackImages that are
       // implied by other members to TRUE, keeping positions from absorbing
       // their neighbours' relations.
-      trace.phaseBegin("back_image", result.iterations + 1);
+      if (!run.beginStep("back_image")) break;
       ConjunctList next(&mgr);
       for (std::size_t j = 0; j < current.size(); ++j) {
         Bdd back = current[j].isOne() ? mgr.one() : fsm.backImage(current[j]);
@@ -171,40 +106,21 @@ EngineResult runIciBackward(Fsm& fsm, const EngineOptions& options) {
         next.push(g0[j] & back);
       }
       simplifyPositionwise(next, simplify);
-      ++result.iterations;
-      // Phase boundary: this step's iterate is complete; at kFull,
-      // audit the whole arena before trusting it.
-      ICBDD_CHECK(kFull, auditArenaCreditingTime(mgr));
-      if (trace.enabled()) {
-        trace.phaseEnd("back_image", result.iterations, mgr.allocatedNodes(),
-                       mgr.stats().peakNodes, next.memberSizes());
-      }
       // Iteration boundary: no edge-level results live, safe to reorder
       // (the signature set below stores Edge values, which a sift preserves).
       ICBDD_SAFE_POINT("ici update complete, lists rooted in handles");
-      mgr.autoReorderIfNeeded();
+      run.endStep("back_image", [&] { return next.memberSizes(); });
 
       // Fast syntactic convergence test (the CAV'93-style one), extended
       // with the cycle check described above.
       if (!seen.insert(signatureOf(next)).second) {
-        result.verdict = Verdict::kHolds;
+        run.result().verdict = Verdict::kHolds;
         break;
       }
       current = next;
       layers.push_back(current);
     }
-  } catch (const ResourceLimitError& err) {
-    result.verdict = verdictForResourceLimit(err.kind());
-    mgr.gc();
-  }
-
-  result.seconds = watch.elapsedSeconds();
-  result.peakAllocatedNodes = mgr.stats().peakNodes;
-  result.memBytesEstimate = mgr.bytesForNodes(result.peakAllocatedNodes);
-  result.metrics.captureBdd(mgr);
-  trace.runEnd(verdictName(result.verdict), result.iterations, result.seconds,
-               result.peakIterateNodes, result.peakAllocatedNodes);
-  return result;
+  });
 }
 
 }  // namespace icb

@@ -3,6 +3,8 @@
 // with parameterized gtest.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "bdd/bdd.hpp"
 #include "test_util.hpp"
 
@@ -16,6 +18,7 @@ struct SweepParam {
   std::uint64_t nvars;
   std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<SweepParam>);
 
 class OpsSweep : public ::testing::TestWithParam<SweepParam> {};
 

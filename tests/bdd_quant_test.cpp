@@ -2,6 +2,8 @@
 // fusion, and cube construction.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "bdd/bdd.hpp"
 #include "test_util.hpp"
 
@@ -12,15 +14,19 @@ Bdd cubeOf(BddManager& mgr, std::vector<unsigned> vars) {
   return Bdd(&mgr, mgr.cubeE(vars));
 }
 
+// No padding: gtest names each case with the parameter's raw bytes, so a
+// padded struct would put uninitialized bytes into the test names.
 struct QuantParam {
-  unsigned nvars;
+  std::uint64_t nvars;
   std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<QuantParam>);
 
 class QuantSweep : public ::testing::TestWithParam<QuantParam> {};
 
 TEST_P(QuantSweep, ExistsForallMatchOracle) {
-  const auto [nvars, seed] = GetParam();
+  const auto nvars = static_cast<unsigned>(GetParam().nvars);
+  const std::uint64_t seed = GetParam().seed;
   BddManager mgr;
   for (unsigned i = 0; i < nvars; ++i) mgr.newVar();
   Rng rng(seed);
@@ -60,7 +66,8 @@ TEST_P(QuantSweep, ExistsForallMatchOracle) {
 }
 
 TEST_P(QuantSweep, AndExistsEqualsComposition) {
-  const auto [nvars, seed] = GetParam();
+  const auto nvars = static_cast<unsigned>(GetParam().nvars);
+  const std::uint64_t seed = GetParam().seed;
   BddManager mgr;
   for (unsigned i = 0; i < nvars; ++i) mgr.newVar();
   Rng rng(seed * 13 + 3);

@@ -3,21 +3,27 @@
 // ("a | b is a tautology iff Restrict(a, !b) is a tautology").
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "bdd/bdd.hpp"
 #include "test_util.hpp"
 
 namespace icb {
 namespace {
 
+// No padding: gtest names each case with the parameter's raw bytes, so a
+// padded struct would put uninitialized bytes into the test names.
 struct RestrictParam {
-  unsigned nvars;
+  std::uint64_t nvars;
   std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<RestrictParam>);
 
 class RestrictSweep : public ::testing::TestWithParam<RestrictParam> {};
 
 TEST_P(RestrictSweep, RestrictContract) {
-  const auto [nvars, seed] = GetParam();
+  const auto nvars = static_cast<unsigned>(GetParam().nvars);
+  const std::uint64_t seed = GetParam().seed;
   BddManager mgr;
   for (unsigned i = 0; i < nvars; ++i) mgr.newVar();
   Rng rng(seed);
@@ -32,7 +38,8 @@ TEST_P(RestrictSweep, RestrictContract) {
 }
 
 TEST_P(RestrictSweep, ConstrainContract) {
-  const auto [nvars, seed] = GetParam();
+  const auto nvars = static_cast<unsigned>(GetParam().nvars);
+  const std::uint64_t seed = GetParam().seed;
   BddManager mgr;
   for (unsigned i = 0; i < nvars; ++i) mgr.newVar();
   Rng rng(seed * 3 + 11);
@@ -47,7 +54,8 @@ TEST_P(RestrictSweep, ConstrainContract) {
 
 TEST_P(RestrictSweep, Theorem3RestrictTautology) {
   // Theorem 3: for any a, b: (a | b) == TRUE iff Restrict(a, !b) == TRUE.
-  const auto [nvars, seed] = GetParam();
+  const auto nvars = static_cast<unsigned>(GetParam().nvars);
+  const std::uint64_t seed = GetParam().seed;
   BddManager mgr;
   for (unsigned i = 0; i < nvars; ++i) mgr.newVar();
   Rng rng(seed * 7 + 23);
@@ -65,7 +73,8 @@ TEST_P(RestrictSweep, Theorem3RestrictTautology) {
 }
 
 TEST_P(RestrictSweep, Theorem3ConstrainTautology) {
-  const auto [nvars, seed] = GetParam();
+  const auto nvars = static_cast<unsigned>(GetParam().nvars);
+  const std::uint64_t seed = GetParam().seed;
   BddManager mgr;
   for (unsigned i = 0; i < nvars; ++i) mgr.newVar();
   Rng rng(seed * 9 + 41);

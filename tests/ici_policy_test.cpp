@@ -3,6 +3,8 @@
 // pairwise cover -- all of which must preserve the denoted conjunction.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "ici/evaluate_policy.hpp"
 #include "ici/pair_cover.hpp"
 #include "ici/pair_table.hpp"
@@ -26,6 +28,7 @@ struct PolicyParam {
   unsigned count;
   std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<PolicyParam>);
 
 class PolicySweep : public ::testing::TestWithParam<PolicyParam> {};
 

@@ -1,8 +1,6 @@
-// L4 good fixture: histogram writers with histogram-typed catalog names,
-// including the dynamic-composition prefix form for the per-op apply
-// latency family.
-void record(MetricsRegistry& metrics, const Histogram& h, const char* op) {
+// L4 good fixture: histogram writers with histogram-typed catalog names.
+void record(MetricsRegistry& metrics, const Histogram& h) {
   metrics.recordHistogram("svc.job.queue_wait_us", 42);
   metrics.mergeHistogram("bdd.gc.pause_us", h);
-  metrics.mergeHistogram(std::string("bdd.apply.") + op + ".latency_us", h);
+  metrics.mergeHistogram("bdd.reorder.pause_us", h);
 }

@@ -26,6 +26,8 @@ CASES = {
     "l1_engine_io_good.cpp": [],
     "l2_safe_point_bad.cpp": ["L2", "L2"],
     "l2_safe_point_good.cpp": [],
+    "l2_engine_run_bad.cpp": ["L2", "L2"],
+    "l2_engine_run_good.cpp": [],
     "l3_node_escape_bad.hpp": ["L3", "L3"],
     "l3_node_escape_use_bad.cpp": ["L3"],
     "l3_node_escape_good.hpp": [],

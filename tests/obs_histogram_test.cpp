@@ -180,20 +180,14 @@ TEST(Metrics, HistogramsLiveInTheRegistry) {
 
 TEST(Metrics, CaptureBddFoldsLatencyHistograms) {
   BddStats stats;
-  {
-    const BddOpTimer timer(stats, BddOp::kAnd);
-  }
   stats.gcPauseUs.record(12);
   stats.reorderPauseUs.record(34);
 
   obs::MetricsRegistry m;
   // captureBdd reads a manager; fold the stat histograms the same way the
   // registry does for a manager-owned BddStats.
-  m.mergeHistogram("bdd.apply.and.latency_us",
-                   stats.applyLatencyUs[static_cast<std::size_t>(BddOp::kAnd)]);
   m.mergeHistogram("bdd.gc.pause_us", stats.gcPauseUs);
   m.mergeHistogram("bdd.reorder.pause_us", stats.reorderPauseUs);
-  EXPECT_EQ(m.histogram("bdd.apply.and.latency_us")->count(), 1u);
   EXPECT_EQ(m.histogram("bdd.gc.pause_us")->sum(), 12u);
   EXPECT_EQ(m.histogram("bdd.reorder.pause_us")->sum(), 34u);
 }

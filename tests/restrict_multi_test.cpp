@@ -1,6 +1,8 @@
 // Simultaneous multi-care-set Restrict (the paper's Section V wish).
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "ici/simplify.hpp"
 #include "sym/bitvector.hpp"
 #include "test_util.hpp"
@@ -13,6 +15,7 @@ struct MultiParam {
   unsigned count;
   std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<MultiParam>);
 
 class MultiRestrictSweep : public ::testing::TestWithParam<MultiParam> {};
 

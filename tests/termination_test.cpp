@@ -4,6 +4,8 @@
 // cofactor-choice strategies and with the Theorem 3 shortcut on and off.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "ici/termination.hpp"
 #include "test_util.hpp"
 
@@ -19,11 +21,15 @@ ConjunctList randomList(BddManager& mgr, unsigned nvars, Rng& rng,
   return list;
 }
 
+// No padding (hence the 32-bit flag): gtest names each case with the
+// parameter's raw bytes, so a padded struct would put uninitialized bytes
+// into the test names.
 struct TermParam {
   CofactorChoice choice;
-  bool shortcut;
+  std::uint32_t shortcut;
   std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<TermParam>);
 
 class TerminationSweep : public ::testing::TestWithParam<TermParam> {};
 
@@ -35,7 +41,7 @@ TEST_P(TerminationSweep, TautologyAgreesWithExplicitDisjunction) {
   Rng rng(seed);
   TerminationOptions options;
   options.cofactorChoice = choice;
-  options.restrictShortcut = shortcut;
+  options.restrictShortcut = shortcut != 0;
   TerminationChecker checker(mgr, options);
 
   int tautCount = 0;
@@ -70,7 +76,7 @@ TEST_P(TerminationSweep, ImplicationAgreesWithExplicitConjunction) {
   Rng rng(seed * 3 + 1);
   TerminationOptions options;
   options.cofactorChoice = choice;
-  options.restrictShortcut = shortcut;
+  options.restrictShortcut = shortcut != 0;
   TerminationChecker checker(mgr, options);
 
   int implCount = 0;
@@ -93,7 +99,7 @@ TEST_P(TerminationSweep, ListEqualityAgreesWithExplicitConjunctions) {
   Rng rng(seed * 7 + 5);
   TerminationOptions options;
   options.cofactorChoice = choice;
-  options.restrictShortcut = shortcut;
+  options.restrictShortcut = shortcut != 0;
   TerminationChecker checker(mgr, options);
 
   int equalCount = 0;
