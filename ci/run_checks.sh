@@ -92,6 +92,15 @@ EOF
     echo "python3 not installed -- schema validation skipped (CI runs it)"
   fi
 
+  note "GC-share gate: no Table 1 FIFO cell over 25% of its time in GC"
+  ./build-werror/bench/table1_fifo --json --jobs 1 \
+    > build-werror/bench-table1-full.jsonl
+  if command -v python3 >/dev/null 2>&1; then
+    python3 ci/gc_share_gate.py build-werror/bench-table1-full.jsonl
+  else
+    echo "python3 not installed -- GC-share gate skipped (CI runs it)"
+  fi
+
   note "observability gate: doctor --metrics-prom exposition"
   ./build-werror/examples/icbdd_doctor --model fifo --metrics-prom \
     > build-werror/doctor-prom.txt

@@ -86,11 +86,20 @@ class ComputedCache {
 
   void clearAt(std::size_t slot) { slots_[slot] = Slot{}; }
 
-  /// Replaces the table with a fresh one of `entries` slots, dropping every
-  /// entry.  The manager's resize (which *keeps* entries) decodes and
-  /// re-inserts via entryAt/setEntryAt around this call.
-  void reset(std::size_t entries) {
-    slots_.assign(entries, Slot{});
+  /// Doubles the table in place.  slotOf masks the hash with size-1, so an
+  /// entry at slot s belongs at s or s+n and no two entries collide: one
+  /// pass moves each, giving the layout of decoding and re-inserting all.
+  void grow() {
+    const std::size_t n = slots_.size();
+    slots_.resize(2 * n);
+    for (std::size_t slot = 0; slot < n; ++slot) {
+      const Entry e = entryAt(slot);
+      if (e.op == 0) continue;
+      const std::size_t to = slotOf(e.op, e.f, e.g, e.h);
+      if (to == slot) continue;
+      slots_[to] = slots_[slot];
+      slots_[slot] = Slot{};
+    }
   }
 
  private:

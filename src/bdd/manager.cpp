@@ -174,24 +174,14 @@ void BddManager::maybeGrowComputedCache() {
   const std::size_t ceiling = std::size_t{1}
                               << std::max(options_.cacheMaxBitsLog2,
                                           options_.cacheBitsLog2);
-  // Keep the cache at least twice the arena: a direct-mapped table at load
-  // factor ~1 loses most of its entries to slot conflicts, so growing only
-  // to parity buys nothing.  The 2x headroom is what turns growth into
-  // measurable hit-rate gains on multi-hundred-thousand-node traversals.
-  while (store_.size() * 2 > cache_.size() && cache_.size() < ceiling) {
-    // Rehash rather than drop: every live entry stays findable at its slot
-    // in the doubled table, so growth never costs a cold restart.
-    const std::size_t oldSize = cache_.size();
-    std::vector<CacheEntry> live;
-    live.reserve(oldSize / 4);
-    for (std::size_t slot = 0; slot < oldSize; ++slot) {
-      const CacheEntry e = cache_.entryAt(slot);
-      if (e.op != static_cast<std::uint32_t>(Op::kInvalid)) live.push_back(e);
-    }
-    cache_.reset(oldSize * 2);
-    for (const CacheEntry& e : live) {
-      cache_.setEntryAt(cache_.slotOf(e.op, e.f, e.g, e.h), e);
-    }
+  // Runs only when mk() appends past an empty free list, so allocated is the
+  // extent.  It reaches twice the live count between collections (autoGc):
+  // two entries per node would be four per live node, the bulk of peak RSS;
+  // one per node slows network-7 Bkwd's deep traversals.
+  while (static_cast<double>(allocatedNodes()) * kCacheEntriesPerNode >
+             static_cast<double>(cache_.size()) &&
+         cache_.size() < ceiling) {
+    cache_.grow();
     ++stats_.cacheResizes;
     if (obs::traceEnabled()) {
       obs::emitGlobalEvent("cache_resize", *this,
@@ -287,14 +277,11 @@ std::uint64_t BddManager::gc() {
 }
 
 void BddManager::autoGc() {
-  if (store_.size() < gcThreshold_) return;
+  if (allocatedNodes() < gcThreshold_) return;
   gc();
-  // If the table is still mostly live, collecting again soon is pointless:
-  // raise the threshold so we grow instead.
-  if (allocatedNodes() * 4 > store_.size() * 3) {
-    gcThreshold_ =
-        std::max<std::uint64_t>(gcThreshold_ * 2, store_.size() * 2);
-  }
+  // Collect next when the allocation has doubled past what survived.  The
+  // extent never shrinks, so a trigger on it would collect on every call.
+  gcThreshold_ = std::max<std::uint64_t>(gcThreshold_, 2 * allocatedNodes());
   // The collection just failed to get the live count back under the growth
   // trigger?  This is the safe point where sifting is allowed to fire: only
   // handle-level entries reach autoGc(), never a recursive worker.

@@ -195,8 +195,11 @@ class BddManager {
   [[nodiscard]] const BddStats& stats() const { return stats_; }
   void resetPeak() { stats_.peakNodes = allocatedNodes(); }
 
-  /// Current computed-cache capacity in entries (a power of two; grows
-  /// adaptively with arena occupancy up to BddOptions::cacheMaxBitsLog2).
+  /// Computed-cache entries kept per allocated node: the cache doubles while
+  /// it holds fewer, up to BddOptions::cacheMaxBitsLog2.
+  static constexpr double kCacheEntriesPerNode = 1.5;
+
+  /// Current computed-cache capacity in entries (a power of two).
   [[nodiscard]] std::uint64_t computedCacheEntries() const {
     return cache_.size();
   }
@@ -421,8 +424,8 @@ class BddManager {
   [[nodiscard]] std::size_t cacheSlot(Op op, Edge f, Edge g, Edge h) const;
   bool cacheLookup(Op op, Edge f, Edge g, Edge h, Edge* out);
   void cacheInsert(Op op, Edge f, Edge g, Edge h, Edge result);
-  /// Doubles the computed cache (rehashing live entries) while the arena has
-  /// outgrown it, up to the BddOptions::cacheMaxBitsLog2 ceiling.
+  /// Doubles the computed cache, keeping its entries, while it holds fewer
+  /// than kCacheEntriesPerNode entries per allocated node.
   void maybeGrowComputedCache();
 
   void checkResourceLimits();

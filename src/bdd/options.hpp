@@ -15,17 +15,17 @@ namespace icb {
 struct BddOptions {
   /// Initial node-arena capacity (number of nodes reserved up front).
   std::uint32_t initialCapacity = 1u << 14;
-  /// Garbage collection is considered once the arena has grown past this
-  /// many nodes; the threshold doubles whenever a collection frees too little.
+  /// Garbage collection runs once this many nodes are allocated (live plus
+  /// not yet collected).  It is the floor: after each collection the
+  /// threshold rises to twice the nodes that survived.
   std::uint32_t gcThreshold = 1u << 16;
   /// log2 of the *initial* computed-cache size in entries.
   unsigned cacheBitsLog2 = 18;
-  /// log2 ceiling for the adaptive computed cache.  The unique table rehashes
-  /// whenever the arena outgrows it; the computed cache grows the same way --
-  /// doubling (entries rehashed, not dropped) whenever the arena outgrows the
-  /// cache -- so a multi-million-node traversal is not stuck pushing its
-  /// lookups through the boot-time direct-mapped table.  Set equal to
-  /// cacheBitsLog2 to pin the historical fixed-size behavior.
+  /// log2 ceiling for the adaptive computed cache.  The cache doubles in
+  /// place (entries kept) whenever the allocated nodes outgrow a fixed
+  /// number of entries per node, so a multi-million-node traversal is not
+  /// stuck pushing its lookups through the boot-time direct-mapped table.
+  /// Set equal to cacheBitsLog2 to pin the historical fixed-size behavior.
   unsigned cacheMaxBitsLog2 = 22;
   /// Growth-triggered automatic dynamic reordering (grouped sifting).  Off by
   /// default: the paper keeps a fixed interleaved order, and verdict/iteration

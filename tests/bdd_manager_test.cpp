@@ -2,9 +2,12 @@
 // naming/levels, option plumbing.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <sstream>
 
 #include "bdd/bdd.hpp"
+#include "bdd/computed_cache.hpp"
 #include "bdd/serialize.hpp"
 #include "test_util.hpp"
 
@@ -95,6 +98,96 @@ TEST(BddManagerBehaviour, AutoGcEventuallyCollects) {
   }
   EXPECT_GT(mgr.stats().gcRuns, 0u);
   mgr.checkInvariants();
+}
+
+TEST(BddManagerBehaviour, AutoGcDoesNotThrashAfterALargeBddDies) {
+  // The trigger is the allocated count, not the arena extent: once a large
+  // BDD dies, one collection brings the allocation back under the threshold
+  // and small work on a small live set never collects again, although the
+  // extent stays at its high-water mark.
+  BddManager mgr;
+  constexpr unsigned kPairs = 17;
+  for (unsigned i = 0; i < 2 * kPairs; ++i) mgr.newVar();
+  {
+    // OR of x_i & y_i with every x above every y: 2^17 nodes.
+    Bdd big = mgr.zero();
+    for (unsigned i = 0; i < kPairs; ++i) {
+      big = big | (mgr.var(i) & mgr.var(kPairs + i));
+    }
+    ASSERT_GT(big.size(), 100000u);
+  }
+  Rng rng(13);
+  std::vector<Bdd> small;
+  for (int i = 0; i < 8; ++i) small.push_back(test::randomBdd(mgr, 8, rng, 4));
+  const std::uint64_t runsBefore = mgr.stats().gcRuns;
+  for (int i = 0; i < 1000; ++i) {
+    const Bdd& a = small[static_cast<std::size_t>(i) % small.size()];
+    const Bdd& b = small[static_cast<std::size_t>(i * 5 + 3) % small.size()];
+    const Bdd r = i % 3 == 0 ? (a & b) : i % 3 == 1 ? (a | b) : (a ^ b);
+    (void)r;
+  }
+  EXPECT_LE(mgr.stats().gcRuns, runsBefore + 1);
+  mgr.checkInvariants();
+}
+
+TEST(BddManagerBehaviour, CacheGrowKeepsEveryEntryAtItsRehashedSlot) {
+  ComputedCache cache(256);
+  Rng rng(17);
+  for (int i = 0; i < 400; ++i) {
+    const auto op = static_cast<std::uint32_t>(1 + rng.below(7));
+    cache.insert(op, static_cast<Edge>(rng.below(1u << 20)),
+                 static_cast<Edge>(rng.below(1u << 20)),
+                 static_cast<Edge>(rng.below(1u << 20)),
+                 static_cast<Edge>(rng.below(1u << 20)));
+  }
+  // The reference: decode every entry and re-insert it into a table of
+  // twice the size.
+  ComputedCache rehashed(512);
+  std::vector<ComputedCache::Entry> held;
+  for (std::size_t slot = 0; slot < cache.size(); ++slot) {
+    const ComputedCache::Entry e = cache.entryAt(slot);
+    if (e.op == 0) continue;
+    held.push_back(e);
+    rehashed.setEntryAt(rehashed.slotOf(e.op, e.f, e.g, e.h), e);
+  }
+  ASSERT_GT(held.size(), 100u);
+
+  cache.grow();
+  ASSERT_EQ(cache.size(), 512u);
+  for (std::size_t slot = 0; slot < cache.size(); ++slot) {
+    const ComputedCache::Entry got = cache.entryAt(slot);
+    const ComputedCache::Entry want = rehashed.entryAt(slot);
+    EXPECT_EQ(got.op, want.op) << "slot " << slot;
+    EXPECT_EQ(got.f, want.f) << "slot " << slot;
+    EXPECT_EQ(got.g, want.g) << "slot " << slot;
+    EXPECT_EQ(got.h, want.h) << "slot " << slot;
+    EXPECT_EQ(got.result, want.result) << "slot " << slot;
+  }
+  for (const ComputedCache::Entry& e : held) {
+    Edge out = 0;
+    ASSERT_TRUE(cache.lookup(e.op, e.f, e.g, e.h, &out));
+    EXPECT_EQ(out, e.result);
+  }
+}
+
+TEST(BddManagerBehaviour, CacheStaysWithinItsFactorOfPeakAllocation) {
+  BddOptions options;
+  options.cacheBitsLog2 = 8;
+  BddManager mgr(options);
+  for (unsigned i = 0; i < 16; ++i) mgr.newVar();
+  Rng rng(19);
+  std::vector<Bdd> keep;
+  while (mgr.stats().peakNodes < 4400) {
+    keep.push_back(test::randomBdd(mgr, 16, rng, 6));
+  }
+  // A peak in [4096, 8192 / 1.5) tells 1.5 entries per node (an 8192-entry
+  // cache) from 2 (16384).
+  const std::uint64_t peak = mgr.stats().peakNodes;
+  ASSERT_LT(peak, 5400u);
+  EXPECT_GT(mgr.stats().cacheResizes, 0u);
+  const auto bound = std::bit_ceil(static_cast<std::uint64_t>(std::ceil(
+      BddManager::kCacheEntriesPerNode * static_cast<double>(peak))));
+  EXPECT_LE(mgr.computedCacheEntries(), bound);
 }
 
 TEST(BddManagerBehaviour, BytesForNodesIsMonotone) {

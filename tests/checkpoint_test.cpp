@@ -8,6 +8,7 @@
 // exactly what the service's on-disk journal does across a process restart.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -297,9 +298,12 @@ TEST(CheckpointResume, LoadSnapshotRejectsGarbage) {
 }
 
 TEST(CheckpointResume, DeadlineKilledRunResumesToBaselineVerdict) {
-  // The service's crash story end-to-end at the engine level: a run cut
-  // short by a deadline leaves a journaled checkpoint; resuming without the
-  // deadline finishes with the uninterrupted run's verdict and count.
+  // The service's crash story end-to-end at the engine level: a run killed
+  // mid-flight leaves a journaled checkpoint; resuming finishes with the
+  // uninterrupted run's verdict and count.  The kill is the cancel flag,
+  // raised by the checkpoint sink after the second snapshot, so every build
+  // cuts the run at the same iteration however fast it runs; a wall-clock
+  // deadline fired before the first snapshot under the sanitizers.
   const Case c{"network", Method::kFwd, 4, 0, false};
   const svc::JobRequest req = requestFor(c);
 
@@ -312,19 +316,21 @@ TEST(CheckpointResume, DeadlineKilledRunResumesToBaselineVerdict) {
   std::vector<std::string> snapshots;
   BddManager killMgr(svc::bddOptionsFor(req));
   ModelInstance killModel = svc::buildJobModel(killMgr, req);
+  std::atomic<bool> kill{false};
   EngineOptions killOptions = svc::engineOptionsFor(req);
-  killOptions.timeLimitSeconds = 0.015;
+  killOptions.cancelFlag = &kill;
   killOptions.checkpoint.everyIterations = 1;
   killOptions.checkpoint.sink = [&](const EngineSnapshot& snap) {
     std::ostringstream os;
     saveSnapshot(os, killMgr, snap);
     snapshots.push_back(os.str());
+    if (snapshots.size() == 2) kill.store(true);
   };
   const EngineResult killed = runMethod(*killModel.fsm, c.method,
                                         killModel.fdCandidates, killOptions);
-  if (killed.verdict != Verdict::kTimeLimit || snapshots.empty()) {
-    GTEST_SKIP() << "machine too fast to hit the deadline mid-run";
-  }
+  ASSERT_EQ(killed.verdict, Verdict::kTimeLimit);
+  ASSERT_EQ(snapshots.size(), 2u);
+  ASSERT_GT(base.iterations, killed.iterations);
 
   BddManager resMgr(svc::bddOptionsFor(req));
   ModelInstance resModel = svc::buildJobModel(resMgr, req);
