@@ -32,7 +32,7 @@ const char* choiceName(CofactorChoice c) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+  const CliArgs args(argc, argv, {"depth", "max-nodes", "time-limit"});
   const BenchCaps caps = BenchCaps::fromArgs(args);
   const unsigned depth = static_cast<unsigned>(args.getInt("depth", 8));
   std::printf(

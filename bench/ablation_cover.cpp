@@ -40,7 +40,7 @@ void compare(TextTable& table, const std::string& label, ConjunctList list) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+  const CliArgs args(argc, argv, {});
   (void)args;
   std::printf(
       "Ablation / greedy (Figure 1) vs exact pairwise cover (Theorem 2)\n\n");

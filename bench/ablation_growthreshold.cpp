@@ -16,7 +16,7 @@ using namespace icb;
 using namespace icb::bench;
 
 int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+  const CliArgs args(argc, argv, {"depth", "max-nodes", "time-limit"});
   const BenchCaps caps = BenchCaps::fromArgs(args);
   const unsigned depth = static_cast<unsigned>(args.getInt("depth", 8));
   std::printf(

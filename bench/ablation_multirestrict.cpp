@@ -33,7 +33,7 @@ void runBoth(TextTable& table, const std::string& label,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+  const CliArgs args(argc, argv, {"max-nodes", "time-limit"});
   const BenchCaps caps = BenchCaps::fromArgs(args);
   std::printf(
       "Ablation / pairwise vs simultaneous Restrict in the XICI policy\n"

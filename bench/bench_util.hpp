@@ -19,6 +19,14 @@
 
 namespace icb::bench {
 
+/// The flags a paper-table binary accepts: its own plus the ones read by
+/// schedulerOptions, bddOptions, BenchCaps::fromArgs and BenchReport below.
+inline std::vector<std::string> tableFlags(std::vector<std::string> own) {
+  own.insert(own.end(), {"jobs", "deadline", "auto-reorder", "reorder-trigger",
+                         "max-nodes", "time-limit", "json"});
+  return own;
+}
+
 /// Reads the scheduler knobs shared by every table binary:
 ///   --jobs N       worker threads (default 0 = hardware concurrency;
 ///                  --jobs 1 reproduces the historical serial sweep

@@ -15,7 +15,7 @@ using namespace icb;
 using namespace icb::bench;
 
 int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+  const CliArgs args(argc, argv, bench::tableFlags({}));
   BenchCaps caps = BenchCaps::fromArgs(args);
   const BddOptions bddOpts = bddOptions(args);
   if (!args.has("time-limit")) {

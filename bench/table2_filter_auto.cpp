@@ -16,7 +16,7 @@ using namespace icb;
 using namespace icb::bench;
 
 int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+  const CliArgs args(argc, argv, bench::tableFlags({}));
   const BenchCaps caps = BenchCaps::fromArgs(args);
   const BddOptions bddOpts = bddOptions(args);
   BenchReport report("table2_filter_auto", args, caps);

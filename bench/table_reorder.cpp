@@ -29,7 +29,9 @@ void scrambleOrder(BddManager& mgr, unsigned rounds) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+  const CliArgs args(argc, argv, {"depth", "scramble-rounds", "jobs",
+                                  "deadline", "max-nodes", "time-limit",
+                                  "json"});
   const BenchCaps caps = BenchCaps::fromArgs(args);
   BenchReport report("table_reorder", args, caps);
   if (!report.jsonMode()) {

@@ -101,6 +101,16 @@ EOF
     echo "python3 not installed -- GC-share gate skipped (CI runs it)"
   fi
 
+  note "reorder gate: table_reorder node traffic pinned to BENCH_reorder.json"
+  ./build-werror/bench/table_reorder --json --jobs 1 \
+    > build-werror/bench-reorder.jsonl
+  if command -v python3 >/dev/null 2>&1; then
+    python3 ci/reorder_gate.py build-werror/bench-reorder.jsonl \
+      BENCH_reorder.json
+  else
+    echo "python3 not installed -- reorder gate skipped (CI runs it)"
+  fi
+
   note "observability gate: doctor --metrics-prom exposition"
   ./build-werror/examples/icbdd_doctor --model fifo --metrics-prom \
     > build-werror/doctor-prom.txt

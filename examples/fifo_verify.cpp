@@ -14,7 +14,8 @@
 using namespace icb;
 
 int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+  const CliArgs args(argc, argv, {"depth", "width", "method", "bug",
+                                  "max-nodes", "time-limit"});
   TypedFifoConfig config;
   config.depth = static_cast<unsigned>(args.getInt("depth", 5));
   config.width = static_cast<unsigned>(args.getInt("width", 8));

@@ -17,7 +17,8 @@
 using namespace icb;
 
 int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+  const CliArgs args(argc, argv, {"depth", "sample-width", "method", "assist",
+                                  "bug", "max-nodes", "time-limit"});
   AvgFilterConfig config;
   config.depth = static_cast<unsigned>(args.getInt("depth", 4));
   config.sampleWidth = static_cast<unsigned>(args.getInt("sample-width", 8));

@@ -391,7 +391,9 @@ int doctorDump(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+  const CliArgs args(argc, argv, {"model", "method", "jobs", "auto-reorder",
+                                  "reorder-trigger", "metrics-prom", "bdd",
+                                  "job", "dump-store"});
   if (args.has("dump-store")) {
     return doctorDumpStore(args.getString("dump-store", ""));
   }

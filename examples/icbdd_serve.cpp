@@ -39,7 +39,10 @@
 using namespace icb;
 
 int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+  const CliArgs args(argc, argv, {"workers", "queue-bound", "max-job-seconds",
+                                  "default-job-seconds", "checkpoint-every",
+                                  "journal", "drain", "no-recover",
+                                  "metrics-port"});
 
   svc::ServiceOptions options;
   options.workers = static_cast<unsigned>(args.getInt("workers", 1));

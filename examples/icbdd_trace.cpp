@@ -134,7 +134,7 @@ void summarize(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+  const CliArgs args(argc, argv, {"model", "method", "out"});
   const std::string modelName = args.getString("model", "mutex");
   const std::string path = args.getString("out", "trace.jsonl");
 

@@ -16,7 +16,8 @@
 using namespace icb;
 
 int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+  const CliArgs args(argc, argv, {"cells", "method", "bug", "max-nodes",
+                                  "time-limit"});
   MutexRingConfig config;
   config.cells = static_cast<unsigned>(args.getInt("cells", 4));
   config.injectBug = args.getBool("bug", false);

@@ -16,7 +16,8 @@
 using namespace icb;
 
 int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+  const CliArgs args(argc, argv, {"processors", "method", "bug", "max-nodes",
+                                  "time-limit"});
   NetworkConfig config;
   config.processors = static_cast<unsigned>(args.getInt("processors", 4));
   config.injectBug = args.getBool("bug", false);

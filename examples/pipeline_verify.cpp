@@ -16,7 +16,8 @@
 using namespace icb;
 
 int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+  const CliArgs args(argc, argv, {"registers", "width", "method", "bug",
+                                  "max-nodes", "time-limit"});
   PipelineCpuConfig config;
   config.registers = static_cast<unsigned>(args.getInt("registers", 2));
   config.width = static_cast<unsigned>(args.getInt("width", 1));

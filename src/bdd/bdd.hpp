@@ -231,7 +231,4 @@ Bdd transferTo(BddManager& target, const Bdd& f);
 /// Shared DAG size of a set of handles (Figure 1's BDDSize(X_i, X_j)).
 std::uint64_t sharedSize(std::span<const Bdd> fs);
 
-/// Conjunction of a whole list (convenience; evaluates left to right).
-Bdd conjoinAll(BddManager& mgr, std::span<const Bdd> fs);
-
 }  // namespace icb

@@ -128,21 +128,14 @@ Edge BddManager::mk(unsigned var, Edge hi, Edge lo) {
   // allocate() enforces the 31-bit Edge index space itself, throwing the
   // typed kNodeIndexSpace error *before* touching any state -- the guard
   // that used to live here (and before that, nowhere: indices silently
-  // wrapped through makeEdge past 2^31 nodes).
+  // wrapped through makeEdge past 2^31 nodes).  The variable's subtable
+  // grows itself inside allocate().
   const bool grew = store_.wouldGrow();
   const std::uint32_t index = store_.allocate(var, hi, lo);
-  if (grew) {
-    // Keep the load factor of the unique table below 1.  Mid-swap the table
-    // holds unlinked nodes with stale triples, so growth is deferred until
-    // the swap has restored consistency (see swapLevelsInternal).
-    if (store_.needsRehash() && !suppressRehash_) {
-      store_.rehash(store_.bucketCount() * 2);
-    }
-    // The computed cache tracks the arena the same way: a cache frozen at
-    // its boot size serves a multi-million-node traversal at direct-mapped
-    // conflict rates while the unique table scales freely beside it.
-    maybeGrowComputedCache();
-  }
+  // The computed cache tracks the arena: a cache frozen at its boot size
+  // serves a multi-million-node traversal at direct-mapped conflict rates
+  // while the unique table scales freely beside it.
+  if (grew) maybeGrowComputedCache();
 
   ++stats_.nodesCreated;
   stats_.peakNodes = std::max<std::uint64_t>(stats_.peakNodes, allocatedNodes());
@@ -151,10 +144,6 @@ Edge BddManager::mk(unsigned var, Edge hi, Edge lo) {
 
 // ---------------------------------------------------------------------------
 // computed cache
-
-std::size_t BddManager::cacheSlot(Op op, Edge f, Edge g, Edge h) const {
-  return cache_.slotOf(static_cast<std::uint32_t>(op), f, g, h);
-}
 
 bool BddManager::cacheLookup(Op op, Edge f, Edge g, Edge h, Edge* out) {
   BddOpCacheStats& opStats = stats_.opCache[static_cast<std::size_t>(op)];
@@ -212,23 +201,7 @@ void BddManager::markRecursive(std::uint32_t index,
 
 std::uint64_t BddManager::gc() {
   const Stopwatch gcWatch;
-  std::vector<std::uint8_t> mark(store_.size(), 0);
-  mark[0] = 1;
-  // Roots are exactly the side table's entries: every externally referenced
-  // node, without an O(arena) scan for nonzero counts.  Sorted by node
-  // index before marking: the unordered_map iterates in hash order, which
-  // varies with the table's resize history and across standard libraries --
-  // sorting pins the whole collection to a deterministic visit order
-  // instead of leaning on mark-set commutativity.
-  std::vector<std::uint32_t> roots;
-  roots.reserve(store_.refs().size());
-  for (const auto& [i, r] : store_.refs()) {
-    if (i != 0 && r > 0 && !store_.isFree(i)) roots.push_back(i);
-  }
-  std::sort(roots.begin(), roots.end());
-  for (const std::uint32_t i : roots) {
-    markRecursive(i, mark);
-  }
+  const std::vector<std::uint8_t> mark = markFromRoots();
 
   std::uint64_t reclaimed = 0;
   store_.resetFreeList();
@@ -238,7 +211,7 @@ std::uint64_t BddManager::gc() {
     store_.pushFree(i);
   }
 
-  store_.rehash(store_.bucketCount());
+  store_.rebuildSubtables();
   // Sweep the computed cache selectively: an entry stays valid as long as
   // every node it references survived, because the sweep frees slots in
   // place (survivors keep their index, and an index keeps denoting the same
@@ -271,7 +244,7 @@ std::uint64_t BddManager::gc() {
                              .put("wall_s", gcWatch.elapsedSeconds()));
   }
   // GC is the phase boundary where every structural invariant must hold:
-  // the sweep rebuilt the unique table and the free list from scratch.
+  // the sweep rebuilt the unique subtables and the free list from scratch.
   ICBDD_CHECK(kFull, auditArenaCreditingTime(*this));
   return reclaimed;
 }
@@ -288,10 +261,15 @@ void BddManager::autoGc() {
   maybeAutoReorderPostGc();
 }
 
-std::uint64_t BddManager::liveNodes() const {
+std::vector<std::uint8_t> BddManager::markFromRoots() const {
   std::vector<std::uint8_t> mark(store_.size(), 0);
   mark[0] = 1;
-  // Same deterministic index-order visit as gc()'s root enumeration.
+  // Roots are exactly the side table's entries: every externally referenced
+  // node, without an O(arena) scan for nonzero counts.  Sorted by node
+  // index before marking: the unordered_map iterates in hash order, which
+  // varies with the table's resize history and across standard libraries --
+  // sorting pins the whole collection to a deterministic visit order
+  // instead of leaning on mark-set commutativity.
   std::vector<std::uint32_t> roots;
   roots.reserve(store_.refs().size());
   for (const auto& [i, r] : store_.refs()) {
@@ -301,6 +279,11 @@ std::uint64_t BddManager::liveNodes() const {
   for (const std::uint32_t i : roots) {
     markRecursive(i, mark);
   }
+  return mark;
+}
+
+std::uint64_t BddManager::liveNodes() const {
+  const std::vector<std::uint8_t> mark = markFromRoots();
   return static_cast<std::uint64_t>(std::count(mark.begin(), mark.end(), 1));
 }
 
@@ -346,12 +329,6 @@ std::uint64_t sharedSize(std::span<const Bdd> fs) {
     roots.push_back(f.edge());
   }
   return mgr->sharedSizeE(roots);
-}
-
-Bdd conjoinAll(BddManager& mgr, std::span<const Bdd> fs) {
-  Bdd acc = mgr.one();
-  for (const Bdd& f : fs) acc &= f;
-  return acc;
 }
 
 }  // namespace icb

@@ -59,8 +59,6 @@ inline constexpr std::size_t kBddOpCount = 8;  ///< including kInvalid
 struct BddOpCacheStats {
   std::uint64_t lookups = 0;
   std::uint64_t hits = 0;
-
-  [[nodiscard]] std::uint64_t misses() const { return lookups - hits; }
 };
 
 /// Aggregate operation counters, exposed for the benchmark harness and the
@@ -397,9 +395,9 @@ class BddManager {
   friend class NodeSurgeon;
 
   // The node representation lives in NodeStore (bdd/node_store.hpp): packed
-  // 16-byte nodes, a sparse refcount side table, and the unique table /
-  // free list.  The historical sentinels are re-exported so the checker and
-  // the reorder machinery keep reading naturally.
+  // 16-byte nodes, a sparse refcount side table, and the per-variable unique
+  // subtables / free list.  The historical sentinels are re-exported so the
+  // checker and the reorder machinery keep reading naturally.
   static constexpr unsigned kFreeVar = NodeStore::kFreeVar;
   static constexpr std::uint32_t kNil = NodeStore::kNil;
   static constexpr std::uint32_t kMaxRef = NodeStore::kMaxRef;
@@ -421,7 +419,6 @@ class BddManager {
   void deref(Edge e);
 
   // computed cache
-  [[nodiscard]] std::size_t cacheSlot(Op op, Edge f, Edge g, Edge h) const;
   bool cacheLookup(Op op, Edge f, Edge g, Edge h, Edge* out);
   void cacheInsert(Op op, Edge f, Edge g, Edge h, Edge result);
   /// Doubles the computed cache, keeping its entries, while it holds fewer
@@ -430,25 +427,24 @@ class BddManager {
 
   void checkResourceLimits();
   void markRecursive(std::uint32_t index, std::vector<std::uint8_t>& mark) const;
+  /// Marks (by node index) everything reachable from the external roots.
+  [[nodiscard]] std::vector<std::uint8_t> markFromRoots() const;
 
   // reordering internals (reorder.cpp)
   //
   // ReorderBook is the sift-scoped incremental bookkeeping that replaces the
   // historical per-swap liveNodes() full mark pass: per-node in-degree from
-  // live nodes, a live flag, per-variable live populations, and per-variable
-  // candidate lists so a swap touches only the nodes of its own level.
+  // live nodes, a live flag, and per-variable live populations.
   struct ReorderBook;
   void initReorderBook(ReorderBook& book) const;
   void bookAcquire(ReorderBook& book, Edge e);
   void bookRelease(ReorderBook& book, Edge e);
   Edge mkBook(unsigned var, Edge hi, Edge lo, ReorderBook* book);
-  /// The one adjacent-level swap implementation: with a book it iterates the
-  /// level's candidate list and maintains the live count incrementally; the
-  /// public swapAdjacentLevels() passes nullptr and scans the arena.
+  /// The one adjacent-level swap implementation: it enumerates the level by
+  /// walking the upper variable's unique subtable.  A book, when given, has
+  /// its live count maintained incrementally; the public
+  /// swapAdjacentLevels() passes nullptr.
   void swapLevelsInternal(unsigned level, ReorderBook* book);
-  /// Store unlink that escalates a missing chain entry to a CheckFailure
-  /// (the reorder path must never lose a node silently).
-  void unlinkFromBucket(std::uint32_t index);
   /// Throws CheckFailure when the book's live count disagrees with a full
   /// liveNodes() mark pass (ICBDD_CHECK_LEVEL=full only).
   void auditReorderBook(const ReorderBook& book) const;
@@ -468,7 +464,7 @@ class BddManager {
   Edge restrictRec(Edge f, Edge c);
   Edge constrainRec(Edge f, Edge c);
 
-  // data -- node arena + unique table + free list (bdd/node_store.hpp),
+  // data -- node arena + unique subtables + free list (bdd/node_store.hpp),
   // then the computed cache.
   NodeStore store_;
   ComputedCache cache_;
@@ -489,7 +485,6 @@ class BddManager {
   unsigned nextGroupId_ = 0;
   std::uint64_t reorderBaseline_ = 0;   // live nodes after the last sift
   bool inReorder_ = false;              // reentrancy guard for safe points
-  bool suppressRehash_ = false;         // defer table growth during a swap
 };
 
 }  // namespace icb

@@ -118,24 +118,38 @@ class NodeStore {
     packFields(at(i), var, hi, lo);
   }
   void setHi(std::uint32_t i, Edge hi) { packHi(at(i), hi); }
-  void setNext(std::uint32_t i, std::uint32_t next) {
-    packNext(at(i), next);
+
+  // ---- unique table: one chained hash subtable per variable ----------------
+  // A variable's subtable chains exactly the allocated nodes carrying it:
+  // the nodes at a level are its variable's subtable.
+
+  /// Variables that own a subtable (every variable a node was allocated for).
+  [[nodiscard]] std::size_t subtableCount() const { return subtables_.size(); }
+
+  /// Head count of var's subtable (a power of two), and the head of its
+  /// bucket b (kNil when empty): the structural checker walks chains
+  /// through these; lookups use find().
+  [[nodiscard]] std::size_t bucketCount(unsigned var) const {
+    return subtables_[var].heads.size();
+  }
+  [[nodiscard]] std::uint32_t bucketHead(unsigned var, std::size_t b) const {
+    return subtables_[var].heads[b];
   }
 
-  // ---- unique table --------------------------------------------------------
-
-  [[nodiscard]] std::size_t bucketCount() const { return buckets_.size(); }
-
-  /// Head index of bucket b's chain (kNil when empty).  The structural
-  /// checker walks chains through this; ordinary lookups use find().
-  [[nodiscard]] std::uint32_t bucketHead(std::size_t b) const {
-    return buckets_[b];
+  /// Nodes chained in var's subtable.
+  [[nodiscard]] std::uint64_t subtableSize(unsigned var) const {
+    return subtables_[var].count;
   }
 
-  /// Bucket of a (var, hi, lo) triple at the current table size.
+  /// Appends every node chained in var's subtable to `out` (chain order),
+  /// first halving the subtable while it holds under a quarter node per
+  /// head, so walking a level costs O(level population).
+  void collectSubtable(unsigned var, std::vector<std::uint32_t>& out);
+
+  /// Bucket of (hi, lo) in var's subtable.
   [[nodiscard]] std::size_t hashOf(unsigned var, Edge hi, Edge lo) const;
 
-  /// Hash-consing probe: the index of the live node carrying the triple, or
+  /// Hash-consing probe: the index of the node carrying the triple, or
   /// kNil.  Chain nodes visited are added to *chainSteps (stats hook).
   [[nodiscard]] std::uint32_t find(unsigned var, Edge hi, Edge lo,
                                    std::uint64_t* chainSteps) const;
@@ -143,23 +157,22 @@ class NodeStore {
   /// True when the next allocate() must extend the arena (free list empty).
   [[nodiscard]] bool wouldGrow() const { return freeHead_ == kNil; }
 
-  /// True when the arena has outgrown the table (load factor above 1).
-  [[nodiscard]] bool needsRehash() const { return size_ > buckets_.size(); }
-
   /// Allocates a node carrying (var, hi, lo) -- from the free list when
-  /// possible, else by extending the arena -- and links it into its bucket.
-  /// Throws ResourceLimitError(kNodeIndexSpace) before any state changes
-  /// when a fresh index would exceed the index cap, so the store stays
-  /// fully usable after the throw.
+  /// possible, else by extending the arena -- and links it into var's
+  /// subtable.  Throws ResourceLimitError(kNodeIndexSpace) before any state
+  /// changes when a fresh index would exceed the index cap, so the store
+  /// stays fully usable after the throw.
   std::uint32_t allocate(unsigned var, Edge hi, Edge lo);
 
-  /// Rebuilds every chain at the given bucket count (a power of two).
-  void rehash(std::size_t newBucketCount);
+  /// Rebuilds every subtable's chains in one index-order pass over the
+  /// arena, skipping free-listed nodes (GC's sweep calls this).
+  void rebuildSubtables();
 
-  /// Links node i into the bucket of its current triple (front insertion).
+  /// Links node i into the subtable of its current var (front insertion),
+  /// doubling the subtable once its count passes its head count.
   void linkIntoBucket(std::uint32_t i);
 
-  /// Unlinks node i from its bucket's chain.  Returns false when the node
+  /// Unlinks node i from its subtable's chain.  Returns false when the node
   /// is not on it (completeness hole -- the caller decides how loud to be).
   [[nodiscard]] bool unlinkFromBucket(std::uint32_t i);
 
@@ -230,8 +243,6 @@ class NodeStore {
   /// index-space guard without building 2^31 nodes.
   void setIndexCapForTesting(std::uint32_t cap) { indexCap_ = cap; }
 
-  [[nodiscard]] std::uint32_t indexCap() const { return indexCap_; }
-
  private:
   // The packing lives in these private helpers only: public surfaces (this
   // class's accessors included) speak (var, hi, lo, next), never words.
@@ -278,9 +289,18 @@ class NodeStore {
   /// last one is full.
   PackedNode& append();
 
+  struct Subtable {
+    std::vector<std::uint32_t> heads;  ///< chain heads, a power of two
+    std::uint64_t count = 0;           ///< nodes chained
+  };
+  static constexpr std::size_t kMinSubtableHeads = 16;  ///< fresh subtable
+
+  /// Rehashes var's chains into `heads` heads (a power of two).
+  void resize(unsigned var, std::size_t heads);
+
   std::vector<std::unique_ptr<PackedNode[]>> chunks_;
   std::size_t size_ = 0;  ///< records in use across the chunks
-  std::vector<std::uint32_t> buckets_;  ///< unique-table heads
+  std::vector<Subtable> subtables_;  ///< unique table, indexed by var
   std::uint32_t freeHead_ = kNil;
   std::uint64_t freeCount_ = 0;
   std::unordered_map<std::uint32_t, std::uint32_t> refs_;

@@ -13,18 +13,19 @@
 //   * rewritten triples cannot collide with each other (the rewrite map is
 //     injective) nor with pre-existing y-nodes (those cannot reach x-nodes,
 //     since x was above y), so canonicity is preserved,
-//   * rewritten nodes are unlinked from their unique-table chain before and
-//     relinked after the mutation -- a swap costs O(level population), not a
-//     full table rebuild,
+//   * the level's nodes are x's unique subtable, so a swap enumerates them
+//     by walking that one subtable; each rewritten node moves from x's
+//     subtable to y's -- a swap costs O(level population), not a full
+//     table rebuild,
 //   * the computed cache stays valid because cached entries denote
 //     functions, not shapes.
 //
 // Sifting maintains a ReorderBook instead of re-running the O(arena)
 // liveNodes() mark pass after every swap: per-node in-degree from live
-// nodes, a live flag, per-variable populations, and per-variable candidate
-// lists.  Because the arena is acyclic, reference counting in the book is
-// exact reachability; under ICBDD_CHECK_LEVEL=full every swap cross-checks
-// the book against a fresh mark pass.
+// nodes, a live flag, and per-variable populations.  Because the arena is
+// acyclic, reference counting in the book is exact reachability; under
+// ICBDD_CHECK_LEVEL=full every swap cross-checks the book against a fresh
+// mark pass.
 #include <algorithm>
 #include <numeric>
 
@@ -36,26 +37,10 @@
 
 namespace icb {
 
-namespace {
-
-/// One reorder-pause sample per sift() pass, interrupted or not, so the
-/// bdd.reorder.pause_us distribution covers exactly what callers stalled on.
-void recordReorderPause(BddStats& stats, const Stopwatch& watch) {
-  const double us = watch.elapsedSeconds() * 1e6;
-  stats.reorderPauseUs.record(us <= 0.0 ? 0
-                                        : static_cast<std::uint64_t>(us));
-}
-
-}  // namespace
-
 struct BddManager::ReorderBook {
   std::vector<std::uint32_t> parents;  ///< in-edges from live nodes
   std::vector<std::uint8_t> alive;     ///< reachable from an external root
   std::vector<std::uint64_t> popVar;   ///< live nodes per variable
-  /// Candidate node indices per variable.  Entries go stale when a node is
-  /// rewritten to another variable or freed; consumers filter on Node::var
-  /// and deduplicate, so the lists only ever over-approximate.
-  std::vector<std::vector<std::uint32_t>> varNodes;
   std::uint64_t live = 0;  ///< matches liveNodes(): live nodes + terminal
 };
 
@@ -75,7 +60,6 @@ void BddManager::initReorderBook(ReorderBook& book) const {
   book.parents.assign(store_.size(), 0);
   book.alive.assign(store_.size(), 0);
   book.popVar.assign(varCount(), 0);
-  book.varNodes.assign(varCount(), {});
   book.live = 1;  // the terminal
   for (std::uint32_t i = 1; i < store_.size(); ++i) {
     if (store_.isFree(i)) continue;
@@ -83,7 +67,6 @@ void BddManager::initReorderBook(ReorderBook& book) const {
     book.alive[i] = 1;
     ++book.live;
     ++book.popVar[var];
-    book.varNodes[var].push_back(i);
     const Edge hi = store_.hiOf(i);
     const Edge lo = store_.loOf(i);
     if (edgeIndex(hi) != 0) ++book.parents[edgeIndex(hi)];
@@ -136,10 +119,9 @@ void BddManager::bookRelease(ReorderBook& book, Edge e) {
 }
 
 Edge BddManager::mkBook(unsigned var, Edge hi, Edge lo, ReorderBook* book) {
-  if (book == nullptr) return mk(var, hi, lo);
   const std::uint64_t createdBefore = stats_.nodesCreated;
   const Edge e = mk(var, hi, lo);
-  if (stats_.nodesCreated != createdBefore) {
+  if (book != nullptr && stats_.nodesCreated != createdBefore) {
     // Fresh node: dead until a live parent acquires it, no in-edges yet.
     const std::uint32_t idx = edgeIndex(e);
     if (idx >= book->alive.size()) {
@@ -148,7 +130,6 @@ Edge BddManager::mkBook(unsigned var, Edge hi, Edge lo, ReorderBook* book) {
     }
     book->parents[idx] = 0;
     book->alive[idx] = 0;
-    book->varNodes[var].push_back(idx);
   }
   return e;
 }
@@ -162,46 +143,20 @@ void BddManager::auditReorderBook(const ReorderBook& book) const {
   }
 }
 
-void BddManager::unlinkFromBucket(std::uint32_t index) {
-  if (!store_.unlinkFromBucket(index)) {
-    throw CheckFailure(ViolationKind::kUniqueTableMiss,
-                       "node " + std::to_string(index) +
-                           " missing from its unique-table chain");
-  }
-}
-
 void BddManager::swapLevelsInternal(unsigned level, ReorderBook* book) {
   const unsigned x = level2var_[level];
   const unsigned y = level2var_[level + 1];
 
-  // Collect the level-`level` nodes that actually reference variable y.
+  // The level's nodes are x's subtable; keep those with a y-child (the
+  // terminal's var never equals y).  They are rewritten in index order, so
+  // the slots mk() hands out below do not depend on the chain layout.
+  const auto isY = [&](Edge e) { return store_.varOf(edgeIndex(e)) == y; };
   std::vector<std::uint32_t> rewrite;
-  auto wantsRewrite = [&](std::uint32_t i) {
-    const Edge hi = store_.hiOf(i);
-    const Edge lo = store_.loOf(i);
-    const bool hiY =
-        !edgeIsConstant(hi) && store_.varOf(edgeIndex(hi)) == y;
-    const bool loY =
-        !edgeIsConstant(lo) && store_.varOf(edgeIndex(lo)) == y;
-    return hiY || loY;
-  };
-  if (book != nullptr) {
-    // The candidate list over-approximates (stale vars, duplicates from
-    // nodes that bounced between levels); filter and compact it in place.
-    std::vector<std::uint32_t>& candidates = book->varNodes[x];
-    std::sort(candidates.begin(), candidates.end());
-    candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                     candidates.end());
-    std::erase_if(candidates,
-                  [&](std::uint32_t i) { return store_.varOf(i) != x; });
-    for (const std::uint32_t i : candidates) {
-      if (wantsRewrite(i)) rewrite.push_back(i);
-    }
-  } else {
-    for (std::uint32_t i = 1; i < store_.size(); ++i) {
-      if (store_.varOf(i) == x && wantsRewrite(i)) rewrite.push_back(i);
-    }
-  }
+  store_.collectSubtable(x, rewrite);
+  std::erase_if(rewrite, [&](std::uint32_t i) {
+    return !isY(store_.hiOf(i)) && !isY(store_.loOf(i));
+  });
+  std::sort(rewrite.begin(), rewrite.end());
 
   // Suspend the resource limits for the rewrite: mk() polling them mid-loop
   // could throw with the level half rewritten.  They are re-checked -- once,
@@ -209,17 +164,19 @@ void BddManager::swapLevelsInternal(unsigned level, ReorderBook* book) {
   // state, which caps a runaway sift at single-swap granularity.
   const ResourceLimits savedLimits = limits_;
   limits_ = ResourceLimits{};
-  suppressRehash_ = true;
 
   for (const std::uint32_t i : rewrite) {
-    unlinkFromBucket(i);
+    // The reorder path must never lose a node silently.
+    if (!store_.unlinkFromBucket(i)) {
+      throw CheckFailure(ViolationKind::kUniqueTableMiss,
+                         "node " + std::to_string(i) +
+                             " missing from its unique subtable");
+    }
     const Edge f1 = store_.hiOf(i);  // plain by canonicity
     const Edge f0 = store_.loOf(i);  // possibly complemented
 
-    const bool hiY =
-        !edgeIsConstant(f1) && store_.varOf(edgeIndex(f1)) == y;
-    const bool loY =
-        !edgeIsConstant(f0) && store_.varOf(edgeIndex(f0)) == y;
+    const bool hiY = isY(f1);
+    const bool loY = isY(f0);
     const Edge f11 = hiY ? edgeThen(f1) : f1;
     const Edge f10 = hiY ? edgeElse(f1) : f1;
     const Edge f01 = loY ? edgeThen(f0) : f0;
@@ -238,24 +195,13 @@ void BddManager::swapLevelsInternal(unsigned level, ReorderBook* book) {
     }
     store_.setFields(i, y, newHi, newLo);
     store_.linkIntoBucket(i);
-    if (book != nullptr) {
-      book->varNodes[y].push_back(i);
-      if (wasAlive) {
-        --book->popVar[x];
-        ++book->popVar[y];
-        bookRelease(*book, f1);
-        bookRelease(*book, f0);
-      }
+    if (wasAlive) {
+      --book->popVar[x];
+      ++book->popVar[y];
+      bookRelease(*book, f1);
+      bookRelease(*book, f0);
     }
   }
-
-  suppressRehash_ = false;
-  // Table growth deferred by the flag above happens now, on a consistent
-  // table (a mid-loop rehash would have re-inserted pending nodes under
-  // their stale triples).
-  std::size_t wantBuckets = store_.bucketCount();
-  while (store_.size() > wantBuckets) wantBuckets *= 2;
-  if (wantBuckets != store_.bucketCount()) store_.rehash(wantBuckets);
 
   level2var_[level] = y;
   level2var_[level + 1] = x;
@@ -363,33 +309,45 @@ std::int64_t BddManager::sift(std::uint64_t maxGrowth) {
     return population(a) > population(b);
   });
 
-  bool interrupted = false;
+  // One pause sample and one trace event per pass, interrupted or not, so
+  // bdd.reorder.pause_us covers exactly what callers stalled on.
+  const auto endPass = [&](bool interrupted) {
+    ++stats_.reorderRuns;
+    const double us = siftWatch.elapsedSeconds() * 1e6;
+    stats_.reorderPauseUs.record(us <= 0.0 ? 0
+                                           : static_cast<std::uint64_t>(us));
+    if (obs::traceEnabled()) {
+      obs::emitGlobalEvent(
+          "reorder", *this,
+          obs::JsonObject()
+              .put("swaps", stats_.reorderSwaps - swapsBefore)
+              .put("live_before", before)
+              .put("live_after", static_cast<std::int64_t>(book.live))
+              .put("interrupted", interrupted)
+              .put("wall_s", siftWatch.elapsedSeconds()));
+    }
+  };
+
   try {
     for (const std::size_t b : order) {
       const auto m = static_cast<unsigned>(blocks[b].size());
       std::uint64_t best = book.live;
       unsigned bestTop = blockTop(b);
+      // One step of a sweep; false once the live count outgrew the best
+      // position seen by more than maxGrowth.
+      const auto sweepStep = [&](const auto& move) {
+        move(b);
+        collectChurn();
+        if (book.live < best) {
+          best = book.live;
+          bestTop = blockTop(b);
+        }
+        return book.live <= best + maxGrowth;
+      };
 
-      // Sweep down to the bottom...
-      while (blockTop(b) + m < nvars) {
-        swapWithBelow(b);
-        collectChurn();
-        if (book.live < best) {
-          best = book.live;
-          bestTop = blockTop(b);
-        }
-        if (book.live > best + maxGrowth) break;
-      }
-      // ...then up to the top...
-      while (blockTop(b) > 0) {
-        swapWithAbove(b);
-        collectChurn();
-        if (book.live < best) {
-          best = book.live;
-          bestTop = blockTop(b);
-        }
-        if (book.live > best + maxGrowth) break;
-      }
+      // Sweep down to the bottom, then up to the top...
+      while (blockTop(b) + m < nvars && sweepStep(swapWithBelow)) {}
+      while (blockTop(b) > 0 && sweepStep(swapWithAbove)) {}
       // ...and settle at the best position seen.  The other blocks' relative
       // order is untouched by moving this one, so every recorded top is
       // reachable exactly.
@@ -406,39 +364,17 @@ std::int64_t BddManager::sift(std::uint64_t maxGrowth) {
     // swapLevelsInternal only throws between swaps, at a consistent state:
     // account for the partial pass and let the engine report its capped
     // verdict.  Dead nodes parked in the arena are normal pre-GC state.
-    interrupted = true;
     ++stats_.reorderInterrupted;
-    ++stats_.reorderRuns;
-    recordReorderPause(stats_, siftWatch);
-    if (obs::traceEnabled()) {
-      obs::emitGlobalEvent(
-          "reorder", *this,
-          obs::JsonObject()
-              .put("swaps", stats_.reorderSwaps - swapsBefore)
-              .put("live_before", before)
-              .put("live_after", static_cast<std::int64_t>(book.live))
-              .put("interrupted", true)
-              .put("wall_s", siftWatch.elapsedSeconds()));
-    }
+    endPass(true);
     throw;
   }
 
   gc();  // reclaim the intermediates the sweeps abandoned
   const std::int64_t after = static_cast<std::int64_t>(book.live);
-  ++stats_.reorderRuns;
-  recordReorderPause(stats_, siftWatch);
   if (after < before) {
     stats_.reorderSavedNodes += static_cast<std::uint64_t>(before - after);
   }
-  if (obs::traceEnabled()) {
-    obs::emitGlobalEvent("reorder", *this,
-                         obs::JsonObject()
-                             .put("swaps", stats_.reorderSwaps - swapsBefore)
-                             .put("live_before", before)
-                             .put("live_after", after)
-                             .put("interrupted", interrupted)
-                             .put("wall_s", siftWatch.elapsedSeconds()));
-  }
+  endPass(false);
   ICBDD_CHECK(kFull, auditArenaCreditingTime(*this));
   return after - before;
 }

@@ -29,15 +29,6 @@ void setCheckLevel(CheckLevel level) {
                               std::memory_order_relaxed);
 }
 
-const char* checkLevelName(CheckLevel level) {
-  switch (level) {
-    case CheckLevel::kOff: return "off";
-    case CheckLevel::kCheap: return "cheap";
-    case CheckLevel::kFull: return "full";
-  }
-  return "?";
-}
-
 bool parseCheckLevel(const std::string& text, CheckLevel* out) {
   std::string lower(text.size(), '\0');
   std::transform(text.begin(), text.end(), lower.begin(), [](unsigned char c) {

@@ -36,8 +36,6 @@ namespace icb {
 
 enum class CheckLevel : int { kOff = 0, kCheap = 1, kFull = 2 };
 
-[[nodiscard]] const char* checkLevelName(CheckLevel level);
-
 /// Parses "off" / "cheap" / "full" (case-insensitive) or "0" / "1" / "2".
 /// Returns false (out untouched) on anything else.
 bool parseCheckLevel(const std::string& text, CheckLevel* out);
@@ -84,7 +82,7 @@ enum class ViolationKind {
   kDuplicateNode,           ///< two live nodes share one (var, hi, lo) triple
   // unique table / free list (StructuralChecker)
   kUniqueTableMiss,         ///< live node unreachable from its hash bucket
-  kUniqueTableChainCorrupt, ///< chain hits a freed node, a cycle, or the wrong bucket
+  kUniqueTableChainCorrupt, ///< freed node, cycle, wrong bucket or variable
   kFreeListCorrupt,         ///< free-list length disagrees with the counters
   // GC roots (StructuralChecker / BddManager::deref)
   kStaleRefOnFreeNode,      ///< freed node still carries an external refcount

@@ -113,60 +113,53 @@ void StructuralChecker::checkNodes(CheckReport& report) const {
 void StructuralChecker::checkUniqueTable(CheckReport& report) const {
   const NodeStore& store = mgr_.store_;
 
-  // Sweep every chain: entries must be live, hash to their bucket, and the
-  // total chain length must not exceed the arena (cycle guard).
-  std::uint64_t chained = 0;
-  for (std::size_t b = 0; b < store.bucketCount(); ++b) {
+  // Sweep every subtable: entries must be in range, live, of the
+  // subtable's variable and in their hash bucket; no node may be chained
+  // twice (a cycle or two merged chains); and each subtable must chain
+  // exactly as many nodes as it counts.
+  std::vector<std::uint8_t> chained(store.size(), 0);
+  for (unsigned v = 0; v < store.subtableCount(); ++v) {
+    const auto corrupt = [&](const std::string& what) {
+      report.add(ViolationKind::kUniqueTableChainCorrupt,
+                 "subtable of v" + std::to_string(v) + what);
+    };
     std::uint64_t steps = 0;
-    for (std::uint32_t i = store.bucketHead(b); i != BddManager::kNil;
-         i = store.nextOf(i)) {
-      if (i >= store.size()) {
-        report.add(ViolationKind::kUniqueTableChainCorrupt,
-                   "bucket " + std::to_string(b) +
-                       " chains to out-of-range index " + std::to_string(i));
-        break;
+    for (std::size_t b = 0; b < store.bucketCount(v); ++b) {
+      for (std::uint32_t i = store.bucketHead(v, b); i != BddManager::kNil;
+           i = store.nextOf(i), ++steps) {
+        const char* bad = i >= store.size()  ? " chains out of the arena to "
+                          : chained[i] != 0  ? " has a cycle or a merge at "
+                          : store.isFree(i)  ? " chains to freed node "
+                                             : nullptr;
+        if (bad != nullptr) {
+          corrupt(bad + std::to_string(i));
+          break;
+        }
+        chained[i] = 1;
+        if (store.varOf(i) != v) {
+          corrupt(" chains node " + std::to_string(i) + " of v" +
+                  std::to_string(store.varOf(i)));
+        } else if (store.hashOf(v, store.hiOf(i), store.loOf(i)) != b) {
+          corrupt(" chains node " + std::to_string(i) + " in the wrong bucket");
+        }
       }
-      if (store.isFree(i)) {
-        report.add(ViolationKind::kUniqueTableChainCorrupt,
-                   "bucket " + std::to_string(b) + " chains to freed node " +
-                       std::to_string(i));
-        break;
-      }
-      if (store.hashOf(store.varOf(i), store.hiOf(i), store.loOf(i)) != b) {
-        report.add(ViolationKind::kUniqueTableChainCorrupt,
-                   nodeDesc(i, "sits in the wrong bucket"));
-      }
-      ++chained;
-      if (++steps > store.size()) {
-        report.add(ViolationKind::kUniqueTableChainCorrupt,
-                   "bucket " + std::to_string(b) + " chain has a cycle");
-        break;
-      }
+    }
+    if (steps != store.subtableSize(v)) {
+      corrupt(" chains " + std::to_string(steps) + " nodes but counts " +
+              std::to_string(store.subtableSize(v)));
     }
   }
 
-  // Completeness: every live node findable by rehashing its triple.
+  // Completeness: every allocated node is chained somewhere (and, by the
+  // sweep above, in its variable's subtable under its own bucket).
   for (std::uint32_t i = 1; i < store.size(); ++i) {
     if (store.isFree(i)) continue;
     ++report.itemsChecked;
-    bool found = false;
-    std::uint64_t steps = 0;
-    const std::size_t b =
-        store.hashOf(store.varOf(i), store.hiOf(i), store.loOf(i));
-    for (std::uint32_t j = store.bucketHead(b);
-         j != BddManager::kNil && steps <= store.size();
-         j = store.nextOf(j), ++steps) {
-      if (j == i) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
+    if (chained[i] == 0) {
       report.add(ViolationKind::kUniqueTableMiss,
                  nodeDesc(i, "not reachable from its hash bucket"));
     }
   }
-  (void)chained;
 }
 
 void StructuralChecker::checkFreeList(CheckReport& report) const {

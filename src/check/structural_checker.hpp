@@ -6,9 +6,9 @@
 //   * canonical form       -- no complemented then-arcs, no redundant
 //                             (hi == lo) nodes, no duplicate (var, hi, lo)
 //                             triples (hash-consing uniqueness),
-//   * unique-table completeness -- every live node findable by rehashing
-//                             its triple, every chain entry live and in the
-//                             right bucket, no chain cycles,
+//   * unique-table completeness -- every live node in its variable's
+//                             subtable, every chain entry live and in the
+//                             right subtable and bucket, no chain cycles,
 //   * free-list consistency -- chain length matches the freeCount_ counter
 //                             and the number of freed slots,
 //   * GC-root consistency  -- freed nodes carry no external references and

@@ -7,6 +7,8 @@
 // operated on by a surgeon is only good for being diagnosed afterwards.
 #pragma once
 
+#include <algorithm>
+
 #include "bdd/manager.hpp"
 #include "ici/pair_table.hpp"
 
@@ -38,14 +40,6 @@ class NodeSurgeon {
     mgr.store_.setFields(index, var, hi, lo);
   }
 
-  /// Swaps a node's children in place (breaks canonicity: the then-arc
-  /// inherits the else-arc's complement bit, or the function changes).
-  static void swapChildren(BddManager& mgr, std::uint32_t index) {
-    NodeStore& store = mgr.store_;
-    store.setFields(index, store.varOf(index), store.loOf(index),
-                    store.hiOf(index));
-  }
-
   /// Sets the complement bit on a stored then-arc.
   static void complementThenArc(BddManager& mgr, std::uint32_t index) {
     mgr.store_.setHi(index, edgeNot(mgr.store_.hiOf(index)));
@@ -65,9 +59,36 @@ class NodeSurgeon {
   /// Unlinks a node from its unique-table chain without freeing it (the
   /// node stays live but becomes unfindable -- a rehash-completeness hole).
   static bool detachFromUniqueTable(BddManager& mgr, std::uint32_t index) {
-    if (!mgr.store_.unlinkFromBucket(index)) return false;
-    mgr.store_.setNext(index, BddManager::kNil);
+    return mgr.store_.unlinkFromBucket(index);
+  }
+
+  /// Moves a live node's chain entry into another variable's subtable while
+  /// the node keeps its own variable (a wrong-subtable hole: the node is
+  /// chained where no lookup of its triple looks).
+  static bool relinkIntoSubtable(BddManager& mgr, std::uint32_t index,
+                                 unsigned var) {
+    NodeStore& store = mgr.store_;
+    if (!store.unlinkFromBucket(index)) return false;
+    const unsigned own = store.varOf(index);
+    store.setFields(index, var, store.hiOf(index), store.loOf(index));
+    store.linkIntoBucket(index);
+    store.setFields(index, own, store.hiOf(index), store.loOf(index));
     return true;
+  }
+
+  /// Lists the nodes chained in var's unique subtable, in index order.
+  static std::vector<std::uint32_t> subtableMembers(const BddManager& mgr,
+                                                    unsigned var) {
+    const NodeStore& store = mgr.store_;
+    std::vector<std::uint32_t> members;
+    for (std::size_t b = 0; b < store.bucketCount(var); ++b) {
+      for (std::uint32_t i = store.bucketHead(var, b); i != BddManager::kNil;
+           i = store.nextOf(i)) {
+        members.push_back(i);
+      }
+    }
+    std::sort(members.begin(), members.end());
+    return members;
   }
 
   /// Desynchronizes the free-list counter from the actual chain.

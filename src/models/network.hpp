@@ -44,8 +44,6 @@ class NetworkModel {
     return counterStateBits_;
   }
 
-  [[nodiscard]] unsigned counterWidth() const { return counterWidth_; }
-
  private:
   static constexpr unsigned kIdWidth = 4;  // the paper: "IDs are 4 bits each"
 

@@ -131,8 +131,6 @@ class VerifyScheduler {
   /// The worker count run() will use (options resolved against hardware).
   [[nodiscard]] unsigned jobs() const { return jobs_; }
 
-  [[nodiscard]] std::size_t cellCount() const { return cells_.size(); }
-
  private:
   struct Cell {
     std::string group;

@@ -39,7 +39,6 @@ class Fsm {
   [[nodiscard]] const Bdd& next(unsigned stateBitIndex) const {
     return next_[stateBitIndex];
   }
-  [[nodiscard]] const std::vector<Bdd>& nextFunctions() const { return next_; }
 
   /// Adds one conjunct of the property G being verified.
   void addInvariant(Bdd g) { invariant_.push_back(std::move(g)); }

@@ -17,7 +17,6 @@ unsigned VarManager::addStateBit(const std::string& name) {
 unsigned VarManager::addInputBit(const std::string& name) {
   const unsigned v = mgr_->newVar(name);
   inputs_.push_back(v);
-  inputNames_.push_back(name);
   return static_cast<unsigned>(inputs_.size() - 1);
 }
 

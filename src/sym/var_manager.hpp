@@ -34,14 +34,10 @@ class VarManager {
   unsigned addInputBit(const std::string& name);
 
   [[nodiscard]] std::size_t stateBitCount() const { return state_.size(); }
-  [[nodiscard]] std::size_t inputBitCount() const { return inputs_.size(); }
 
   [[nodiscard]] const StateBit& stateBit(unsigned i) const { return state_[i]; }
   [[nodiscard]] const std::vector<StateBit>& stateBits() const { return state_; }
   [[nodiscard]] const std::vector<unsigned>& inputVars() const { return inputs_; }
-  [[nodiscard]] const std::string& inputName(unsigned i) const {
-    return inputNames_[i];
-  }
 
   [[nodiscard]] Bdd cur(unsigned stateBitIndex) const {
     return mgr_->var(state_[stateBitIndex].cur);
@@ -64,7 +60,6 @@ class VarManager {
   BddManager* mgr_;
   std::vector<StateBit> state_;
   std::vector<unsigned> inputs_;
-  std::vector<std::string> inputNames_;
 };
 
 }  // namespace icb

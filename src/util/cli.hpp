@@ -9,11 +9,15 @@
 
 namespace icb {
 
-/// Parses argv into a flag map.  Unknown positional arguments are kept in
-/// order and retrievable via positional().
+/// Parses argv into a flag map against the flags the binary accepts.
+/// Unknown positional arguments are kept in order and retrievable via
+/// positional().  A flag outside `accepted` prints usage (the accepted
+/// flags) to stderr and exits 2, before the binary does any work; --help
+/// prints it and exits 0; getInt/getDouble exit 2 on a malformed number.
 class CliArgs {
  public:
-  CliArgs(int argc, const char* const* argv);
+  CliArgs(int argc, const char* const* argv,
+          std::vector<std::string> accepted);
 
   [[nodiscard]] bool has(const std::string& name) const;
 
@@ -28,10 +32,13 @@ class CliArgs {
     return positional_;
   }
 
-  [[nodiscard]] const std::string& programName() const { return program_; }
-
  private:
+  /// Prints `error` (when non-empty) and the usage line to stderr, then
+  /// exits: 2 after an error, 0 for --help.
+  [[noreturn]] void usageExit(const std::string& error) const;
+
   std::string program_;
+  std::vector<std::string> accepted_;
   std::map<std::string, std::string> flags_;
   std::vector<std::string> positional_;
 };

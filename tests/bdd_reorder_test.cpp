@@ -6,11 +6,26 @@
 
 #include "bdd/bdd.hpp"
 #include "check/check.hpp"
+#include "check/test_hooks.hpp"
 #include "sym/bitvector.hpp"
 #include "test_util.hpp"
 
 namespace icb {
 namespace {
+
+/// Each variable's unique subtable chains exactly the allocated nodes that
+/// carry the variable, i.e. the nodes at its level.
+void expectSubtablesMatchLevels(const BddManager& mgr) {
+  std::vector<std::vector<std::uint32_t>> want(mgr.varCount());
+  for (std::uint32_t i = 1; i < NodeSurgeon::nodeCount(mgr); ++i) {
+    if (!NodeSurgeon::isFree(mgr, i)) {
+      want[NodeSurgeon::rawVar(mgr, i)].push_back(i);
+    }
+  }
+  for (unsigned v = 0; v < mgr.varCount(); ++v) {
+    EXPECT_EQ(NodeSurgeon::subtableMembers(mgr, v), want[v]) << "v" << v;
+  }
+}
 
 TEST(BddReorder, SwapPreservesFunctionsAndInvariants) {
   BddManager mgr;
@@ -38,13 +53,51 @@ TEST(BddReorder, SwapIsItsOwnInverse) {
   BddManager mgr;
   for (unsigned i = 0; i < 6; ++i) mgr.newVar();
   Rng rng(9);
-  const Bdd f = test::randomBdd(mgr, 6, rng, 6);
-  const auto table = test::truthTable(f, 6);
+  std::vector<Bdd> funcs;
+  std::vector<std::vector<char>> tables;
+  std::vector<std::uint32_t> indices;
+  for (int i = 0; i < 6; ++i) {
+    funcs.push_back(test::randomBdd(mgr, 6, rng, 6));
+    tables.push_back(test::truthTable(funcs.back(), 6));
+    indices.push_back(edgeIndex(funcs.back().edge()));
+  }
   mgr.swapAdjacentLevels(2);
   mgr.swapAdjacentLevels(2);
   EXPECT_EQ(mgr.varLevel(2), 2u);
-  EXPECT_EQ(test::truthTable(f, 6), table);
+  for (std::size_t i = 0; i < funcs.size(); ++i) {
+    // Swaps rewrite nodes in place: every handle keeps its node index.
+    EXPECT_EQ(edgeIndex(funcs[i].edge()), indices[i]) << i;
+    EXPECT_EQ(test::truthTable(funcs[i], 6), tables[i]) << i;
+  }
   mgr.checkInvariants();
+}
+
+TEST(BddReorder, SubtablesHoldExactlyTheirLevelAfterSiftAndSwaps) {
+  BddManager mgr;
+  constexpr unsigned kVars = 10;
+  for (unsigned i = 0; i < kVars; ++i) mgr.newVar();
+  Rng rng(23);
+  std::vector<Bdd> funcs;
+  std::vector<std::vector<char>> tables;
+  for (int i = 0; i < 16; ++i) {
+    funcs.push_back(test::randomBdd(mgr, kVars, rng, 7));
+    tables.push_back(test::truthTable(funcs.back(), kVars));
+  }
+  (void)mgr.sift();
+  expectSubtablesMatchLevels(mgr);
+  mgr.checkInvariants();
+
+  // Manual swaps leave their dead intermediates allocated (no collection
+  // runs between them), so the subtables must track those too.
+  for (int k = 0; k < 60; ++k) {
+    mgr.swapAdjacentLevels(static_cast<unsigned>(rng.below(kVars - 1)));
+    if (k % 10 == 9) expectSubtablesMatchLevels(mgr);
+  }
+  expectSubtablesMatchLevels(mgr);
+  mgr.checkInvariants();
+  for (std::size_t i = 0; i < funcs.size(); ++i) {
+    EXPECT_EQ(test::truthTable(funcs[i], kVars), tables[i]) << i;
+  }
 }
 
 TEST(BddReorder, SwapHandlesComplementedElseArcs) {

@@ -206,6 +206,20 @@ TEST(CheckMutation, UniqueTableMissIsReported) {
   EXPECT_TRUE(reports(p.mgr, ViolationKind::kUniqueTableMiss));
 }
 
+TEST(CheckMutation, NodeChainedInAnotherVariablesSubtableIsReported) {
+  // f's node tests `a`; chained in c's subtable, no lookup of its triple
+  // can find it, and a swap of c's level would rewrite it.
+  Patient p;
+  ASSERT_TRUE(NodeSurgeon::relinkIntoSubtable(p.mgr, p.fIndex, p.c));
+  ASSERT_EQ(NodeSurgeon::rawVar(p.mgr, p.fIndex), p.a);
+  const CheckReport report = StructuralChecker(p.mgr).run(CheckLevel::kFull);
+  EXPECT_TRUE(report.has(ViolationKind::kUniqueTableChainCorrupt));
+  EXPECT_NE(report.summary().find("subtable of v2 chains node " +
+                                  std::to_string(p.fIndex) + " of v0"),
+            std::string::npos)
+      << report.summary();
+}
+
 TEST(CheckMutation, FreeListCounterDriftIsReportedEvenAtCheapEffort) {
   Patient p;
   NodeSurgeon::bumpFreeCount(p.mgr, 5);

@@ -59,16 +59,30 @@ Triple tripleFor(std::uint32_t n) {
   return {n % 97, static_cast<Edge>(2 * n), static_cast<Edge>(2 * n + 3)};
 }
 
-/// Allocates triples 0..count-1, growing the unique table the way the
-/// manager does (load factor at most 1).
+/// Allocates triples 0..count-1; each variable's subtable grows itself.
 std::vector<std::uint32_t> fill(NodeStore& store, std::uint32_t count) {
   std::vector<std::uint32_t> index;
   for (std::uint32_t n = 0; n < count; ++n) {
     const Triple t = tripleFor(n);
     index.push_back(store.allocate(t.var, t.hi, t.lo));
-    if (store.needsRehash()) store.rehash(store.bucketCount() * 2);
   }
   return index;
+}
+
+/// Every subtable keeps its load factor at most 1 and counts its chains.
+void expectSubtablesSized(const NodeStore& store) {
+  for (unsigned v = 0; v < store.subtableCount(); ++v) {
+    std::uint64_t chained = 0;
+    for (std::size_t b = 0; b < store.bucketCount(v); ++b) {
+      for (std::uint32_t i = store.bucketHead(v, b); i != NodeStore::kNil;
+           i = store.nextOf(i)) {
+        EXPECT_EQ(store.varOf(i), v) << i;
+        ++chained;
+      }
+    }
+    EXPECT_EQ(chained, store.subtableSize(v)) << v;
+    EXPECT_LE(store.subtableSize(v), store.bucketCount(v)) << v;
+  }
 }
 
 TEST(NodeStoreArena, FreshRecordsDecodeExactlyAcrossChunkBoundaries) {
@@ -99,32 +113,37 @@ TEST(NodeStoreArena, NodesKeepTheirFieldsAcrossGrowth) {
   NodeStore store(16);
   const std::vector<std::uint32_t> first = fill(store, kChunk / 2);
   // Edit two first-chunk nodes in place (the reorder path does this), then
-  // grow the arena by several chunks and several table doublings.
+  // grow the arena by several chunks and every subtable by several
+  // doublings.
+  const std::size_t headsBefore = store.bucketCount(5);
   store.setFields(first[7], 5, 40, 41);
   store.setHi(first[9], 99);
   for (std::uint32_t n = kChunk / 2; n < 5 * kChunk; ++n) {
     const Triple t = tripleFor(n);
     (void)store.allocate(t.var, t.hi, t.lo);
-    if (store.needsRehash()) store.rehash(store.bucketCount() * 2);
   }
   ASSERT_GT(store.size(), 5 * kChunk);
+  EXPECT_GE(store.bucketCount(5), 4 * headsBefore);
 
   EXPECT_EQ(store.varOf(first[7]), 5u);
   EXPECT_EQ(store.hiOf(first[7]), 40u);
   EXPECT_EQ(store.loOf(first[7]), 41u);
   EXPECT_EQ(store.hiOf(first[9]), 99u);
+  std::uint64_t steps = 0;
   for (std::uint32_t n = 0; n < first.size(); ++n) {
     if (n == 7 || n == 9) continue;
     const Triple t = tripleFor(n);
     EXPECT_EQ(store.varOf(first[n]), t.var) << n;
     EXPECT_EQ(store.hiOf(first[n]), t.hi) << n;
     EXPECT_EQ(store.loOf(first[n]), t.lo) << n;
+    EXPECT_EQ(store.find(t.var, t.hi, t.lo, &steps), first[n]) << n;
   }
 }
 
 TEST(NodeStoreArena, FreeListAndRehashSpanEveryChunk) {
   NodeStore store(16);
   const std::vector<std::uint32_t> index = fill(store, 3 * kChunk);
+  expectSubtablesSized(store);
   // Free every third node -- records in every chunk -- the way GC's sweep
   // does, then rebuild the chains over the whole multi-chunk arena.
   store.resetFreeList();
@@ -133,8 +152,9 @@ TEST(NodeStoreArena, FreeListAndRehashSpanEveryChunk) {
     store.pushFree(index[n]);
     ++freed;
   }
-  store.rehash(store.bucketCount());
+  store.rebuildSubtables();
   EXPECT_EQ(store.freeCount(), freed);
+  expectSubtablesSized(store);
   std::uint64_t steps = 0;
   for (std::uint32_t n = 0; n < index.size(); ++n) {
     const Triple t = tripleFor(n);
@@ -158,6 +178,7 @@ TEST(NodeStoreArena, FreeListAndRehashSpanEveryChunk) {
   EXPECT_EQ(store.size(), extent);
   EXPECT_EQ(store.freeCount(), 0u);
   EXPECT_TRUE(store.wouldGrow());
+  expectSubtablesSized(store);
 }
 
 TEST(NodeStoreArena, GcOverMultiChunkArenaKeepsAuditClean) {
@@ -179,7 +200,7 @@ TEST(NodeStoreArena, GcOverMultiChunkArenaKeepsAuditClean) {
   const std::uint32_t extent = NodeSurgeon::nodeCount(mgr);
   ASSERT_GT(extent, 4 * kChunk);
 
-  EXPECT_GT(mgr.gc(), 0u);  // sweep + rehash over every chunk
+  EXPECT_GT(mgr.gc(), 0u);  // sweep + subtable rebuild over every chunk
   EXPECT_EQ(NodeSurgeon::nodeCount(mgr), extent) << "chunks are never freed";
   EXPECT_TRUE(StructuralChecker(mgr).run(CheckLevel::kFull).ok());
 

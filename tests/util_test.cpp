@@ -43,7 +43,7 @@ TEST(TextTable, FormatKb) {
 TEST(CliArgs, ParsesFlagsAndPositionals) {
   const char* argv[] = {"prog",     "--depth",  "8",    "--assist=true",
                         "posarg",   "--ratio",  "1.5",  "--flag"};
-  CliArgs args(8, argv);
+  CliArgs args(8, argv, {"depth", "assist", "ratio", "flag"});
   EXPECT_EQ(args.getInt("depth", 0), 8);
   EXPECT_TRUE(args.getBool("assist", false));
   EXPECT_TRUE(args.getBool("flag", false));
@@ -53,6 +53,32 @@ TEST(CliArgs, ParsesFlagsAndPositionals) {
   EXPECT_TRUE(args.has("depth"));
   EXPECT_FALSE(args.has("nope"));
   EXPECT_THROW((void)args.getBool("depth", false), std::invalid_argument);
+}
+
+TEST(CliArgs, UnknownFlagPrintsUsageAndExits2) {
+  // A typo must not run the binary with the flag silently ignored.
+  const char* argv[] = {"table1_filter", "--job", "1"};
+  EXPECT_EXIT(CliArgs(3, argv, {"jobs", "json"}),
+              ::testing::ExitedWithCode(2),
+              "unknown flag --job\nusage: table1_filter \\[--jobs\\] "
+              "\\[--json\\]");
+}
+
+TEST(CliArgs, HelpPrintsUsageAndExits0) {
+  const char* argv[] = {"table1_filter", "--help"};
+  EXPECT_EXIT(CliArgs(2, argv, {"jobs", "json"}),
+              ::testing::ExitedWithCode(0),
+              "usage: table1_filter \\[--jobs\\] \\[--json\\]");
+}
+
+TEST(CliArgs, MalformedNumberPrintsUsageAndExits2) {
+  const char* argv[] = {"table1_filter", "--jobs", "abc", "--deadline=2s"};
+  const CliArgs args(4, argv, {"jobs", "deadline"});
+  EXPECT_EXIT((void)args.getInt("jobs", 0), ::testing::ExitedWithCode(2),
+              "--jobs wants a whole number, got 'abc'");
+  EXPECT_EXIT((void)args.getDouble("deadline", 0.0),
+              ::testing::ExitedWithCode(2),
+              "--deadline wants a number, got '2s'");
 }
 
 TEST(Rng, DeterministicAcrossInstances) {
