@@ -10,7 +10,8 @@ Three phases, every emitted line schema-validated:
   kill      -- a long job with checkpoint_every=1 is started, the process
                is SIGKILLed right after its first job_progress line (the
                checkpoint is journaled before the line is emitted, so the
-               journal is guaranteed non-empty);
+               journal is guaranteed non-empty); the journaled snapshot must
+               be an icbdd-ckpt-v1 envelope around an icbdd-bdd-v3 dump;
   resume    -- a fresh process on the same --journal recovers the job and
                must finish it with resumed=true and resumed_from >= 1.
 
@@ -114,6 +115,12 @@ def phase_kill_and_resume(journal):
         "journal lost the killed job's request"
     assert os.path.exists(os.path.join(journal, "big.ckpt")), \
         "journal lost the killed job's checkpoint"
+    # The journaled snapshot is the icbdd-ckpt-v1 envelope around a binary
+    # icbdd-bdd-v3 dump, the one format the service writes.
+    with open(os.path.join(journal, "big.ckpt"), "rb") as f:
+        ckpt = f.read()
+    assert ckpt.startswith(b"icbdd-ckpt-v1\n"), ckpt[:32]
+    assert b"\nicbdd-bdd-v3\n" in ckpt, ckpt[:128]
 
     # Phase resume: a fresh process recovers and finishes the job.
     lines = run_batch(["--journal", journal, "--checkpoint-every", "1"], [""])

@@ -18,13 +18,15 @@
 //   icbdd_doctor --model fifo|mutex|network|filter|pipeline|all
 //                [--method xici] [--jobs N] [--metrics-prom]
 //                [--auto-reorder true] [--reorder-trigger K]
-//   icbdd_doctor --bdd dump.txt
-//   icbdd_doctor --dump-store dump
+//   icbdd_doctor --bdd dump.bdd
+//   icbdd_doctor --dump-store dump.bdd
 //   icbdd_doctor --job spec.json       (one icbdd-svc-v1 request object)
 //
-// --dump-store reports a saved dump's header (format version, v3 binary
-// layout info) and, after loading it, the store's occupancy: arena bytes and
-// refcount side-table size.
+// --dump-store is the human view of a saved icbdd-bdd-v3 dump: its header,
+// one `n <id> <var> <hi> <lo>` line per node record and one `r <ref>` line
+// per root (references are T, F, or [!]<id> of an earlier node), then,
+// after loading it, the store's occupancy: arena bytes and refcount
+// side-table size.
 //
 // --model all audits every machine; --jobs N runs the model cells on the
 // parallel verification scheduler (each with a private manager), with the
@@ -300,50 +302,61 @@ int doctorJob(const std::string& path) {
   return bad == 0 ? 0 : 1;
 }
 
-/// --dump-store: header + occupancy report for a saved dump.  Prints the
-/// dump's version/counts without building nodes (inspectDump), then loads it
-/// and reports the live store's footprint -- arena and refcount side table.
-int doctorDumpStore(const std::string& path) {
-  DumpInfo info;
-  {
-    std::ifstream in(path);
-    if (!in) {
-      std::fprintf(stderr, "cannot open '%s'\n", path.c_str());
-      return 2;
-    }
-    try {
-      info = inspectDump(in);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "failed to inspect '%s': %s\n", path.c_str(),
-                   e.what());
-      return 2;
-    }
-  }
-  std::printf("dump %s\n", path.c_str());
-  std::printf("  format          icbdd-bdd-v%d (%s)\n", info.version,
-              info.binary ? "binary, little-endian" : "text");
-  std::printf("  vars            %llu\n",
-              static_cast<unsigned long long>(info.varCount));
-  std::printf("  nodes           %llu\n",
-              static_cast<unsigned long long>(info.nodeCount));
-  std::printf("  roots           %llu\n",
-              static_cast<unsigned long long>(info.rootCount));
-  if (info.binary) {
-    std::printf("  node payload    %llu bytes\n",
-                static_cast<unsigned long long>(info.nodeBytes));
-  }
+/// A dump reference in the T / F / [!]<id> notation of --dump-store.
+std::string dumpRef(std::uint32_t ref) {
+  if (ref == 0) return "T";
+  if (ref == 1) return "F";
+  const std::string id = std::to_string((ref >> 1) - 1u);
+  return (ref & 1u) != 0 ? "!" + id : id;
+}
 
+/// --dump-store: header, node and root listing, and occupancy report for a
+/// saved dump.  Prints the header without building nodes (inspectDump), so
+/// a dump with a corrupt body still shows it; lists the decoded records
+/// (readDump); then loads the dump and reports the live store's footprint
+/// -- arena and refcount side table.
+int doctorDumpStore(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    std::fprintf(stderr, "cannot open '%s'\n", path.c_str());
+    return 2;
+  }
+  const auto rewind = [&in] {
+    in.clear();
+    in.seekg(0);
+  };
   BddManager mgr;
   std::vector<Bdd> loaded;
-  {
-    std::ifstream in(path);
-    try {
-      loaded = loadBdds(in, mgr);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "failed to load '%s': %s\n", path.c_str(),
-                   e.what());
-      return 2;
+  try {
+    const DumpInfo info = inspectDump(in);
+    std::printf("dump %s\n", path.c_str());
+    std::printf("  format          icbdd-bdd-v3 (binary, little-endian)\n");
+    std::printf("  vars            %llu\n",
+                static_cast<unsigned long long>(info.varCount));
+    std::printf("  nodes           %llu\n",
+                static_cast<unsigned long long>(info.nodeCount));
+    std::printf("  roots           %llu\n",
+                static_cast<unsigned long long>(info.rootCount));
+    std::printf("  node payload    %llu bytes\n",
+                static_cast<unsigned long long>(info.nodeBytes));
+
+    rewind();
+    const DumpRecords records = readDump(in);
+    for (std::size_t i = 0; i < records.nodes.size(); ++i) {
+      const DumpRecords::Node& node = records.nodes[i];
+      std::printf("n %zu %u %s %s\n", i, node.var, dumpRef(node.hi).c_str(),
+                  dumpRef(node.lo).c_str());
     }
+    for (const std::uint32_t ref : records.roots) {
+      std::printf("r %s\n", dumpRef(ref).c_str());
+    }
+
+    rewind();
+    loaded = loadBdds(in, mgr);
+  } catch (const std::exception& e) {
+    std::fflush(stdout);
+    std::fprintf(stderr, "failed to read '%s': %s\n", path.c_str(), e.what());
+    return 2;
   }
   const std::uint64_t allocated = mgr.allocatedNodes();
   std::printf("store after load\n");
@@ -358,7 +371,7 @@ int doctorDumpStore(const std::string& path) {
 }
 
 int doctorDump(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) {
     std::fprintf(stderr, "cannot open '%s'\n", path.c_str());
     return 2;

@@ -1,10 +1,8 @@
 #include "bdd/serialize.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -13,9 +11,8 @@ namespace icb {
 
 namespace {
 
-constexpr const char* kMagicV1 = "icbdd-bdd-v1";
-constexpr const char* kMagicV2 = "icbdd-bdd-v2";
-constexpr const char* kMagicV3 = "icbdd-bdd-v3";
+constexpr char kMagic[] = "icbdd-bdd-v3\n";
+constexpr std::size_t kMagicSize = sizeof kMagic - 1;
 
 // ---------------------------------------------------------------------------
 // Shared: topological node collection (children before parents).
@@ -50,66 +47,7 @@ void collectTopo(const BddManager& mgr, std::span<const Bdd> roots,
 }
 
 // ---------------------------------------------------------------------------
-// Text format helpers.
-
-/// File-local reference: T, F, or [!]<node id>.
-std::string refOf(Edge e,
-                  const std::unordered_map<std::uint32_t, std::size_t>& ids) {
-  if (e == kTrueEdge) return "T";
-  if (e == kFalseEdge) return "F";
-  const std::string id = std::to_string(ids.at(edgeIndex(e)));
-  return edgeIsComplemented(e) ? "!" + id : id;
-}
-
-Edge parseRef(const std::string& token, const std::vector<Edge>& loaded,
-              std::uint64_t lineOffset) {
-  if (token == "T") return kTrueEdge;
-  if (token == "F") return kFalseEdge;
-  std::string body = token;
-  bool negate = false;
-  if (!body.empty() && body[0] == '!') {
-    negate = true;
-    body = body.substr(1);
-  }
-  char* end = nullptr;
-  const unsigned long id = std::strtoul(body.c_str(), &end, 10);
-  if (end == body.c_str() || *end != '\0' || id >= loaded.size()) {
-    throw SerializeError("loadBdds: bad node reference '" + token + "'",
-                         lineOffset);
-  }
-  const Edge e = loaded[static_cast<std::size_t>(id)];
-  return negate ? edgeNot(e) : e;
-}
-
-/// Line reader that tracks byte offsets so every parse error can point at
-/// the offending line.  Truncation (EOF where a line was required) and
-/// garbage (a line whose fields do not extract) both throw SerializeError;
-/// neither may be treated as a clean end of input.
-struct LineSource {
-  std::istream& is;
-  std::string line;
-  std::uint64_t offset = 0;     ///< offset of the next unread byte
-  std::uint64_t lineStart = 0;  ///< offset of the most recently read line
-
-  std::istringstream next(const char* what) {
-    lineStart = offset;
-    if (!std::getline(is, line)) {
-      throw SerializeError(
-          std::string("loadBdds: truncated input, expected ") + what, offset);
-    }
-    offset += line.size() + 1;  // +1: the newline getline consumed
-    return std::istringstream(line);
-  }
-
-  [[noreturn]] void bad(const char* what) const {
-    throw SerializeError(std::string("loadBdds: malformed ") + what +
-                             " line '" + line + "'",
-                         lineStart);
-  }
-};
-
-// ---------------------------------------------------------------------------
-// Binary (v3) helpers.  The body is explicitly little-endian -- values are
+// Byte helpers.  The body is explicitly little-endian -- values are
 // assembled byte by byte so the format is host-endianness independent -- and
 // covered by a trailing FNV-1a checksum.
 
@@ -155,12 +93,15 @@ class ByteWriter {
   std::uint64_t hash_ = kFnvOffset;
 };
 
+/// Reads the dump, counting offsets from the stream's position at the start
+/// so that a dump embedded after other data (a checkpoint's header lines)
+/// reports errors relative to the whole stream.
 class ByteReader {
  public:
-  ByteReader(std::istream& is, std::uint64_t startOffset)
-      : is_(is), offset_(startOffset) {}
+  explicit ByteReader(std::istream& is) : is_(is), offset_(position(is)) {}
 
-  void bytes(void* p, std::size_t n, const char* what) {
+  /// Reads n bytes WITHOUT hashing -- for the magic and the checksum.
+  void raw(void* p, std::size_t n, const char* what) {
     is_.read(static_cast<char*>(p), static_cast<std::streamsize>(n));
     const auto got = static_cast<std::size_t>(is_.gcount());
     if (got != n) {
@@ -168,11 +109,15 @@ class ByteReader {
           std::string("loadBdds: truncated input reading ") + what,
           offset_ + got);
     }
+    offset_ += n;
+  }
+
+  void bytes(void* p, std::size_t n, const char* what) {
+    raw(p, n, what);
     const auto* b = static_cast<const unsigned char*>(p);
     for (std::size_t i = 0; i < n; ++i) {
       hash_ = (hash_ ^ b[i]) * kFnvPrime;
     }
-    offset_ += n;
   }
 
   std::uint32_t u32(const char* what) {
@@ -194,14 +139,7 @@ class ByteReader {
   /// Reads WITHOUT hashing -- for the trailing checksum field.
   std::uint64_t u64raw(const char* what) {
     unsigned char b[8];
-    is_.read(reinterpret_cast<char*>(b), sizeof b);
-    const auto got = static_cast<std::size_t>(is_.gcount());
-    if (got != sizeof b) {
-      throw SerializeError(
-          std::string("loadBdds: truncated input reading ") + what,
-          offset_ + got);
-    }
-    offset_ += sizeof b;
+    raw(b, sizeof b, what);
     std::uint64_t v = 0;
     for (int i = 0; i < 8; ++i) v |= std::uint64_t{b[i]} << (8 * i);
     return v;
@@ -211,6 +149,14 @@ class ByteReader {
   [[nodiscard]] std::uint64_t hash() const { return hash_; }
 
  private:
+  static std::uint64_t position(std::istream& is) {
+    // tellg() reports -1 once eofbit is set; an exhausted stream still has
+    // a position, and the first read then reports the truncation there.
+    if (is.rdstate() == std::ios::eofbit) is.clear();
+    const std::streampos at = is.tellg();
+    return at == std::streampos(-1) ? 0 : static_cast<std::uint64_t>(at);
+  }
+
   std::istream& is_;
   std::uint64_t offset_;
   std::uint64_t hash_ = kFnvOffset;
@@ -232,25 +178,68 @@ std::uint32_t binRefOf(Edge e,
   return ((id + 1u) << 1) | (edgeIsComplemented(e) ? 1u : 0u);
 }
 
-Edge parseBinRef(std::uint32_t ref, const std::vector<Edge>& loaded,
-                 std::uint64_t offset) {
-  if (ref == 0) return kTrueEdge;
-  if (ref == 1) return kFalseEdge;
-  const std::uint32_t id = (ref >> 1) - 1u;
-  if (id >= loaded.size()) {
+/// Rejects a reference to a node not decoded before it.
+std::uint32_t checkedRef(std::uint32_t ref, std::size_t decoded,
+                         std::uint64_t offset) {
+  if (ref > 1 && (ref >> 1) - 1u >= decoded) {
     throw SerializeError(
-        "loadBdds: node reference " + std::to_string(id) +
+        "loadBdds: node reference " + std::to_string((ref >> 1) - 1u) +
             " points past the nodes decoded so far (not topologically ordered?)",
         offset);
   }
-  const Edge e = loaded[id];
+  return ref;
+}
+
+Edge edgeOfRef(std::uint32_t ref, const std::vector<Edge>& loaded) {
+  if (ref == 0) return kTrueEdge;
+  if (ref == 1) return kFalseEdge;
+  const Edge e = loaded[(ref >> 1) - 1u];
   return (ref & 1u) != 0 ? edgeNot(e) : e;
+}
+
+bool isPermutation(std::span<const unsigned> level2var) {
+  std::vector<bool> seen(level2var.size(), false);
+  for (const unsigned var : level2var) {
+    if (var >= level2var.size() || seen[var]) return false;
+    seen[var] = true;
+  }
+  return true;
+}
+
+/// Reads the magic line and the fixed header fields after it.
+DumpInfo readHeader(ByteReader& r) {
+  std::string magic(kMagicSize, '\0');
+  r.raw(magic.data(), kMagicSize, "magic line");
+  if (magic != kMagic) {
+    throw SerializeError("loadBdds: bad magic '" +
+                             magic.substr(0, magic.find('\n')) +
+                             "' (expected icbdd-bdd-v3)",
+                         r.offset() - kMagicSize);
+  }
+  const std::uint32_t endian = r.u32("endian tag");
+  if (endian != kEndianTag) {
+    throw SerializeError("loadBdds: bad endian tag (byte-swapped or corrupt?)",
+                         r.offset() - 4);
+  }
+  const std::uint32_t features = r.u32("feature flags");
+  if (features != 0) {
+    throw SerializeError("loadBdds: unknown feature flags " +
+                             std::to_string(features) +
+                             " (written by a newer version?)",
+                         r.offset() - 4);
+  }
+  DumpInfo h;
+  h.varCount = r.u64("var count");
+  h.nodeCount = r.u64("node count");
+  h.rootCount = r.u64("root count");
+  h.nodeBytes = h.nodeCount * 16;
+  return h;
 }
 
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Text save (v2).
+// Save.  Layout documented in docs/node_layout.md.
 
 void saveBdds(std::ostream& os, const BddManager& mgr,
               std::span<const Bdd> roots) {
@@ -258,42 +247,7 @@ void saveBdds(std::ostream& os, const BddManager& mgr,
   std::vector<std::uint32_t> order;
   collectTopo(mgr, roots, ids, order);
 
-  os << kMagicV2 << '\n';
-  os << "vars " << mgr.varCount() << '\n';
-  for (unsigned v = 0; v < mgr.varCount(); ++v) {
-    os << "v " << v << ' ' << mgr.varName(v) << '\n';
-  }
-  os << "order";
-  for (unsigned level = 0; level < mgr.varCount(); ++level) {
-    os << ' ' << mgr.varAtLevel(level);
-  }
-  os << '\n';
-  os << "nodes " << order.size() << '\n';
-  for (const std::uint32_t index : order) {
-    const Edge plain = makeEdge(index, false);
-    os << "n " << ids.at(index) << ' ' << mgr.nodeVar(plain) << ' '
-       << refOf(mgr.edgeThen(plain), ids) << ' '
-       << refOf(mgr.edgeElse(plain), ids) << '\n';
-  }
-  os << "roots " << roots.size() << '\n';
-  for (const Bdd& root : roots) {
-    os << "r "
-       << (root.isConstant() ? (root.isOne() ? std::string("T") : std::string("F"))
-                             : refOf(root.edge(), ids))
-       << '\n';
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Binary save (v3).  Layout documented in docs/node_layout.md.
-
-void saveBddsBinary(std::ostream& os, const BddManager& mgr,
-                    std::span<const Bdd> roots) {
-  std::unordered_map<std::uint32_t, std::size_t> ids;
-  std::vector<std::uint32_t> order;
-  collectTopo(mgr, roots, ids, order);
-
-  os << kMagicV3 << '\n';
+  os.write(kMagic, kMagicSize);
   ByteWriter w(os);
   w.u32(kEndianTag);
   w.u32(0);  // feature flags: none defined yet
@@ -329,144 +283,20 @@ void saveBddsBinary(std::ostream& os, const BddManager& mgr,
 }
 
 // ---------------------------------------------------------------------------
-// Load (auto-detects v1/v2/v3 from the magic line).
+// Load.
 
-namespace {
-
-std::vector<Bdd> loadBddsText(LineSource& src, BddManager& mgr,
-                              bool hasOrderLine) {
-  std::size_t varCount = 0;
-  {
-    auto ls = src.next("vars header");
-    std::string key;
-    ls >> key >> varCount;
-    if (ls.fail() || key != "vars") src.bad("vars header");
-  }
-  for (std::size_t i = 0; i < varCount; ++i) {
-    auto ls = src.next("var declaration");
-    std::string key;
-    std::string name;
-    unsigned index = 0;
-    ls >> key >> index >> name;
-    if (ls.fail() || key != "v" || index != i) src.bad("var");
-    if (index >= mgr.varCount()) mgr.newVar(name);
-  }
-
-  if (hasOrderLine) {
-    auto ls = src.next("order line");
-    std::string key;
-    ls >> key;
-    if (ls.fail() || key != "order") src.bad("order");
-    std::vector<unsigned> level2var;
-    level2var.reserve(varCount);
-    unsigned var = 0;
-    while (ls >> var) level2var.push_back(var);
-    if (level2var.size() != varCount) {
-      throw SerializeError("loadBdds: order line length != vars",
-                           src.lineStart);
-    }
-    // Restoring the saved order only makes sense when the manager holds
-    // exactly the file's variables; when loading into a larger manager the
-    // saved permutation is partial, so we keep the manager's current order
-    // (ITE re-canonicalizes the nodes either way).
-    if (mgr.varCount() == varCount) {
-      try {
-        applyVarOrder(mgr, level2var);
-      } catch (const SerializeError&) {
-        throw;
-      } catch (const BddUsageError& err) {
-        // A non-permutation order line is corrupt input, not caller misuse.
-        throw SerializeError(std::string("loadBdds: ") + err.what(),
-                             src.lineStart);
-      }
-    }
-  }
-
-  std::size_t nodeCount = 0;
-  {
-    auto ls = src.next("nodes header");
-    std::string key;
-    ls >> key >> nodeCount;
-    if (ls.fail() || key != "nodes") src.bad("nodes header");
-  }
-  std::vector<Edge> loaded;
-  std::vector<Bdd> keepAlive;  // protect intermediates across autoGc
-  loaded.reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(nodeCount, kReserveClamp)));
-  for (std::size_t i = 0; i < nodeCount; ++i) {
-    auto ls = src.next("node record");
-    std::string key;
-    std::size_t id = 0;
-    unsigned var = 0;
-    std::string hiTok;
-    std::string loTok;
-    ls >> key >> id >> var >> hiTok >> loTok;
-    if (ls.fail() || key != "n" || id != i || var >= mgr.varCount()) {
-      src.bad("node");
-    }
-    const Edge hi = parseRef(hiTok, loaded, src.lineStart);
-    const Edge lo = parseRef(loTok, loaded, src.lineStart);
-    // Rebuild with ITE rather than mk: the file may have been written under
-    // a different (e.g. sifted) variable order, in which case raw mk would
-    // create ill-ordered nodes; ITE re-canonicalizes for this manager.
-    const Edge e = mgr.iteE(mgr.varEdge(var), hi, lo);
-    loaded.push_back(e);
-    keepAlive.emplace_back(&mgr, e);
-  }
-
-  std::size_t rootCount = 0;
-  {
-    auto ls = src.next("roots header");
-    std::string key;
-    ls >> key >> rootCount;
-    if (ls.fail() || key != "roots") src.bad("roots header");
-  }
-  std::vector<Bdd> roots;
-  roots.reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(rootCount, kReserveClamp)));
-  for (std::size_t i = 0; i < rootCount; ++i) {
-    auto ls = src.next("root record");
-    std::string key;
-    std::string tok;
-    ls >> key >> tok;
-    if (ls.fail() || key != "r") src.bad("root");
-    roots.emplace_back(&mgr, parseRef(tok, loaded, src.lineStart));
-  }
-  return roots;
+DumpInfo inspectDump(std::istream& is) {
+  ByteReader r(is);
+  return readHeader(r);
 }
 
-/// Validates and reads the fixed v3 header fields after the magic line.
-struct V3Header {
-  std::uint64_t varCount = 0;
-  std::uint64_t nodeCount = 0;
-  std::uint64_t rootCount = 0;
-};
+DumpRecords readDump(std::istream& is) {
+  ByteReader r(is);
+  const DumpInfo h = readHeader(r);
+  DumpRecords d;
 
-V3Header readV3Header(ByteReader& r) {
-  const std::uint32_t endian = r.u32("endian tag");
-  if (endian != kEndianTag) {
-    throw SerializeError("loadBdds: bad endian tag (byte-swapped or corrupt?)",
-                         r.offset() - 4);
-  }
-  const std::uint32_t features = r.u32("feature flags");
-  if (features != 0) {
-    throw SerializeError("loadBdds: unknown feature flags " +
-                             std::to_string(features) +
-                             " (written by a newer version?)",
-                         r.offset() - 4);
-  }
-  V3Header h;
-  h.varCount = r.u64("var count");
-  h.nodeCount = r.u64("node count");
-  h.rootCount = r.u64("root count");
-  return h;
-}
-
-std::vector<Bdd> loadBddsBinary(std::istream& is, BddManager& mgr,
-                                std::uint64_t bodyOffset) {
-  ByteReader r(is, bodyOffset);
-  const V3Header h = readV3Header(r);
-
+  d.varNames.reserve(static_cast<std::size_t>(
+      std::min<std::uint64_t>(h.varCount, kReserveClamp)));
   for (std::uint64_t v = 0; v < h.varCount; ++v) {
     const std::uint32_t len = r.u32("name length");
     if (len > kReserveClamp) {
@@ -474,39 +304,31 @@ std::vector<Bdd> loadBddsBinary(std::istream& is, BddManager& mgr,
                                std::to_string(len) + " (corrupt dump?)",
                            r.offset() - 4);
     }
-    std::string name(len, '\0');
+    std::string& name = d.varNames.emplace_back(len, '\0');
     if (len != 0) r.bytes(name.data(), len, "variable name");
-    if (v >= mgr.varCount()) mgr.newVar(name);
   }
 
-  std::vector<unsigned> level2var;
-  level2var.reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(h.varCount, kReserveClamp)));
   const std::uint64_t orderAt = r.offset();
+  d.level2var.reserve(d.varNames.size());
   for (std::uint64_t level = 0; level < h.varCount; ++level) {
-    level2var.push_back(r.u32("order entry"));
+    d.level2var.push_back(r.u32("order entry"));
   }
-  if (mgr.varCount() == h.varCount) {
-    try {
-      applyVarOrder(mgr, level2var);
-    } catch (const SerializeError&) {
-      throw;
-    } catch (const BddUsageError& err) {
-      // A non-permutation order table is corrupt input, not caller misuse.
-      throw SerializeError(std::string("loadBdds: ") + err.what(), orderAt);
-    }
+  if (!isPermutation(d.level2var)) {
+    throw SerializeError(
+        "loadBdds: order table is not a permutation of the variables",
+        orderAt);
   }
 
-  std::vector<Edge> loaded;
-  std::vector<Bdd> keepAlive;  // protect intermediates across autoGc
-  loaded.reserve(static_cast<std::size_t>(
+  d.nodes.reserve(static_cast<std::size_t>(
       std::min<std::uint64_t>(h.nodeCount, kReserveClamp)));
   for (std::uint64_t i = 0; i < h.nodeCount; ++i) {
     const std::uint64_t recordAt = r.offset();
+    // 16-byte record: word0 = var<<32 | hi ref, word1 = lo ref (upper half
+    // reserved, zero).
     const std::uint64_t w0 = r.u64("node record");
     const std::uint64_t w1 = r.u64("node record");
     const auto var = static_cast<std::uint32_t>(w0 >> 32);
-    if (var >= mgr.varCount()) {
+    if (var >= h.varCount) {
       throw SerializeError("loadBdds: node variable " + std::to_string(var) +
                                " out of range",
                            recordAt);
@@ -514,23 +336,17 @@ std::vector<Bdd> loadBddsBinary(std::istream& is, BddManager& mgr,
     if ((w1 >> 32) != 0) {
       throw SerializeError("loadBdds: reserved node bits set", recordAt);
     }
-    const Edge hi =
-        parseBinRef(static_cast<std::uint32_t>(w0 & 0xffffffffu), loaded,
-                    recordAt);
-    const Edge lo =
-        parseBinRef(static_cast<std::uint32_t>(w1 & 0xffffffffu), loaded,
-                    recordAt);
-    const Edge e = mgr.iteE(mgr.varEdge(var), hi, lo);
-    loaded.push_back(e);
-    keepAlive.emplace_back(&mgr, e);
+    d.nodes.push_back(
+        {var,
+         checkedRef(static_cast<std::uint32_t>(w0), d.nodes.size(), recordAt),
+         checkedRef(static_cast<std::uint32_t>(w1), d.nodes.size(), recordAt)});
   }
 
-  std::vector<Bdd> roots;
-  roots.reserve(static_cast<std::size_t>(
+  d.roots.reserve(static_cast<std::size_t>(
       std::min<std::uint64_t>(h.rootCount, kReserveClamp)));
   for (std::uint64_t i = 0; i < h.rootCount; ++i) {
     const std::uint64_t at = r.offset();
-    roots.emplace_back(&mgr, parseBinRef(r.u32("root record"), loaded, at));
+    d.roots.push_back(checkedRef(r.u32("root record"), d.nodes.size(), at));
   }
 
   const std::uint64_t expect = r.hash();
@@ -539,87 +355,49 @@ std::vector<Bdd> loadBddsBinary(std::istream& is, BddManager& mgr,
     throw SerializeError("loadBdds: checksum mismatch (corrupt dump)",
                          r.offset() - 8);
   }
+  return d;
+}
+
+std::vector<Bdd> loadBdds(std::istream& is, BddManager& mgr) {
+  const DumpRecords d = readDump(is);
+  for (std::size_t v = mgr.varCount(); v < d.varNames.size(); ++v) {
+    mgr.newVar(d.varNames[v]);
+  }
+  // Restoring the saved order only makes sense when the manager holds
+  // exactly the file's variables; when loading into a larger manager the
+  // saved permutation is partial, so we keep the manager's current order
+  // (ITE re-canonicalizes the nodes either way).
+  if (mgr.varCount() == d.level2var.size()) applyVarOrder(mgr, d.level2var);
+
+  std::vector<Edge> loaded;
+  std::vector<Bdd> keepAlive;  // protect intermediates across autoGc
+  loaded.reserve(d.nodes.size());
+  for (const DumpRecords::Node& node : d.nodes) {
+    // Rebuild with ITE rather than mk: the file may have been written under
+    // a different (e.g. sifted) variable order, in which case raw mk would
+    // create ill-ordered nodes; ITE re-canonicalizes for this manager.
+    const Edge e = mgr.iteE(mgr.varEdge(node.var), edgeOfRef(node.hi, loaded),
+                            edgeOfRef(node.lo, loaded));
+    loaded.push_back(e);
+    keepAlive.emplace_back(&mgr, e);
+  }
+
+  std::vector<Bdd> roots;
+  roots.reserve(d.roots.size());
+  for (const std::uint32_t ref : d.roots) {
+    roots.emplace_back(&mgr, edgeOfRef(ref, loaded));
+  }
   return roots;
 }
 
-}  // namespace
-
-std::vector<Bdd> loadBdds(std::istream& is, BddManager& mgr) {
-  LineSource src{is, {}};
-  std::string magic;
-  {
-    auto ls = src.next("magic line");
-    ls >> magic;
-  }
-  if (magic == kMagicV3) return loadBddsBinary(is, mgr, src.offset);
-  if (magic == kMagicV2) return loadBddsText(src, mgr, /*hasOrderLine=*/true);
-  if (magic == kMagicV1) return loadBddsText(src, mgr, /*hasOrderLine=*/false);
-  throw SerializeError("loadBdds: bad magic '" + magic + "'", 0);
-}
-
-DumpInfo inspectDump(std::istream& is) {
-  LineSource src{is, {}};
-  std::string magic;
-  {
-    auto ls = src.next("magic line");
-    ls >> magic;
-  }
-  DumpInfo info;
-  if (magic == kMagicV3) {
-    info.version = 3;
-    info.binary = true;
-    ByteReader r(is, src.offset);
-    const V3Header h = readV3Header(r);
-    info.varCount = h.varCount;
-    info.nodeCount = h.nodeCount;
-    info.rootCount = h.rootCount;
-    info.nodeBytes = h.nodeCount * 16;
-    return info;
-  }
-  if (magic != kMagicV1 && magic != kMagicV2) {
-    throw SerializeError("inspectDump: bad magic '" + magic + "'", 0);
-  }
-  info.version = magic == kMagicV2 ? 2 : 1;
-  {
-    auto ls = src.next("vars header");
-    std::string key;
-    ls >> key >> info.varCount;
-    if (ls.fail() || key != "vars") src.bad("vars header");
-  }
-  for (std::uint64_t i = 0; i < info.varCount; ++i) {
-    (void)src.next("var declaration");
-  }
-  if (info.version == 2) (void)src.next("order line");
-  {
-    auto ls = src.next("nodes header");
-    std::string key;
-    ls >> key >> info.nodeCount;
-    if (ls.fail() || key != "nodes") src.bad("nodes header");
-  }
-  for (std::uint64_t i = 0; i < info.nodeCount; ++i) {
-    (void)src.next("node record");
-  }
-  {
-    auto ls = src.next("roots header");
-    std::string key;
-    ls >> key >> info.rootCount;
-    if (ls.fail() || key != "roots") src.bad("roots header");
-  }
-  return info;
-}
-
 void applyVarOrder(BddManager& mgr, std::span<const unsigned> level2var) {
-  const unsigned n = mgr.varCount();
-  if (level2var.size() != n) {
+  if (level2var.size() != mgr.varCount()) {
     throw BddUsageError("applyVarOrder: order length != varCount");
   }
-  std::vector<bool> seen(n, false);
-  for (const unsigned var : level2var) {
-    if (var >= n || seen[var]) {
-      throw BddUsageError("applyVarOrder: not a permutation of the variables");
-    }
-    seen[var] = true;
+  if (!isPermutation(level2var)) {
+    throw BddUsageError("applyVarOrder: not a permutation of the variables");
   }
+  const unsigned n = mgr.varCount();
   // Selection sort by adjacent swaps: for each target level top-down, bubble
   // the wanted variable up from wherever it currently sits.  O(n^2) swaps
   // worst case, fine for the var counts we serialize.

@@ -5,7 +5,6 @@
 
 #include "bdd/manager.hpp"
 #include "ici/evaluate_policy.hpp"
-#include "ici/simplify.hpp"
 #include "ici/termination.hpp"
 #include "obs/jsonl.hpp"
 
@@ -126,12 +125,6 @@ void MetricsRegistry::capturePolicy(const EvaluatePolicyResult& result) {
   if (result.rejectedRatio > 0.0) {
     setGauge("ici.policy.last_rejected_ratio", result.rejectedRatio);
   }
-}
-
-void MetricsRegistry::captureSimplify(const SimplifyResult& result) {
-  add("ici.simplify.passes", result.passes);
-  add("ici.simplify.applications", result.applications);
-  add("ici.simplify.nodes_saved", result.nodesSaved());
 }
 
 std::string MetricsRegistry::toJson() const {

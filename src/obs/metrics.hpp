@@ -23,7 +23,6 @@ namespace icb {
 class BddManager;
 struct TerminationStats;
 struct EvaluatePolicyResult;
-struct SimplifyResult;
 }  // namespace icb
 
 namespace icb::obs {
@@ -62,7 +61,6 @@ class MetricsRegistry {
   void captureBdd(const BddManager& mgr);
   void captureTermination(const TerminationStats& stats);
   void capturePolicy(const EvaluatePolicyResult& result);
-  void captureSimplify(const SimplifyResult& result);
 
   /// One JSON object: {"counters": {...}, "gauges": {...}} plus a
   /// "histograms" object of per-name summaries when any were recorded.

@@ -106,13 +106,13 @@ void JobJournal::recordCheckpoint(const std::string& id,
   countWrite();
 }
 
-std::optional<std::string> JobJournal::checkpointText(
+std::optional<std::string> JobJournal::checkpointBytes(
     const std::string& id) const {
   std::ifstream in(pathFor(id, ".ckpt"), std::ios::binary);
   if (!in) return std::nullopt;
-  std::ostringstream text;
-  text << in.rdbuf();
-  return std::move(text).str();
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return std::move(bytes).str();
 }
 
 void JobJournal::remove(const std::string& id) {

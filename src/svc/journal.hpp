@@ -50,8 +50,8 @@ class JobJournal {
   /// counted and remembered (degraded mode), never thrown.
   void recordCheckpoint(const std::string& id, const std::string& snapshot);
 
-  /// The job's latest snapshot text, or nullopt when none was written.
-  [[nodiscard]] std::optional<std::string> checkpointText(
+  /// The job's latest snapshot bytes, or nullopt when none was written.
+  [[nodiscard]] std::optional<std::string> checkpointBytes(
       const std::string& id) const;
 
   /// Removes the job's files (called when a job completes or fails).

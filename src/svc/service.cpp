@@ -252,8 +252,8 @@ void VerifyService::runOneJob(const QueuedJob& job,
     bool resumed = false;
     unsigned resumedFrom = 0;
     if (req.resume && journal_) {
-      if (const auto text = journal_->checkpointText(req.id)) {
-        std::istringstream in(*text);
+      if (const auto bytes = journal_->checkpointBytes(req.id)) {
+        std::istringstream in(*bytes);
         snapshot = loadSnapshot(in, mgr);
         engineOptions.checkpoint.resume = &snapshot;
         resumed = true;

@@ -17,7 +17,8 @@ constexpr const char* kMagic = "icbdd-ckpt-v1";
 
 /// Header-line reader tracking byte offsets, so truncated or garbled
 /// checkpoints fail with a typed SerializeError pointing at the bad line
-/// instead of silently resuming from a zeroed field.
+/// instead of silently resuming from a zeroed field.  The embedded dump
+/// after the header lines is binary and read by loadBdds.
 struct CkptLines {
   std::istream& is;
   std::string line;
@@ -45,7 +46,7 @@ struct CkptLines {
 }  // namespace
 
 void saveSnapshot(std::ostream& os, const BddManager& mgr,
-                  const EngineSnapshot& snap, bool binaryBdds) {
+                  const EngineSnapshot& snap) {
   os << kMagic << '\n';
   os << "method " << methodName(snap.method) << '\n';
   os << "iteration " << snap.iteration << '\n';
@@ -59,11 +60,7 @@ void saveSnapshot(std::ostream& os, const BddManager& mgr,
     flat.insert(flat.end(), list.begin(), list.end());
   }
   os << '\n';
-  if (binaryBdds) {
-    saveBddsBinary(os, mgr, flat);
-  } else {
-    saveBdds(os, mgr, flat);
-  }
+  saveBdds(os, mgr, flat);
 }
 
 EngineSnapshot loadSnapshot(std::istream& is, BddManager& mgr) {

@@ -1,18 +1,19 @@
-// Engine checkpoint persistence: text save/load of EngineSnapshot on top of
+// Engine checkpoint persistence: save/load of EngineSnapshot on top of
 // bdd/serialize, plus the small emitter the engines call at their iteration
 // boundary.
 //
-// Format (line oriented, wrapping one saveBdds dump):
+// Format (text header lines, then one binary saveBdds dump):
 //   icbdd-ckpt-v1
 //   method <fwd|bkwd|fd|ici|xici>
 //   iteration <n>
 //   numbers <count> <value> ...
 //   lists <count> <len0> <len1> ...
-//   <icbdd-bdd-v2 dump of all list members, flattened in list order>
+//   <icbdd-bdd-v3 dump of all list members, flattened in list order>
 //
-// The BDD dump carries the writer's variable order (serialize v2), so a
-// snapshot taken after dynamic reordering restores into a manager with the
-// same order -- the property the byte-identical resume guarantee rests on.
+// The BDD dump carries the writer's variable order, so a snapshot taken
+// after dynamic reordering restores into a manager with the same order --
+// the property the byte-identical resume guarantee rests on.  A snapshot
+// whose dump is in an older format fails to load with a SerializeError.
 #pragma once
 
 #include <iosfwd>
@@ -21,17 +22,14 @@
 
 namespace icb {
 
-/// Writes `snap` (whose handles must belong to `mgr`).  With
-/// `binaryBdds = true` the embedded BDD dump uses the icbdd-bdd-v3 binary
-/// format (near-memcpy, much faster for large snapshots); the checkpoint
-/// header lines stay text either way, and loadSnapshot auto-detects the dump
-/// version, so binary and text snapshots are interchangeable on load.  The
-/// default stays text so existing golden checkpoint bytes are unchanged.
+/// Writes `snap` (whose handles must belong to `mgr`).
 void saveSnapshot(std::ostream& os, const BddManager& mgr,
-                  const EngineSnapshot& snap, bool binaryBdds = false);
+                  const EngineSnapshot& snap);
 
 /// Reads a snapshot into `mgr` (usually a freshly built model's manager).
-/// Throws SerializeError (a BddUsageError) on malformed or truncated input.
+/// Throws SerializeError (a BddUsageError) on malformed or truncated input;
+/// its byteOffset() counts from the start of the stream, header lines
+/// included.
 EngineSnapshot loadSnapshot(std::istream& is, BddManager& mgr);
 
 /// The engine checkpoint hook, owned by EngineRun (verif/engine_run.hpp)

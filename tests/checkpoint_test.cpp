@@ -4,7 +4,7 @@
 // same iteration count, and a byte-identical counterexample trace.
 //
 // The resumed run goes through the full persistence path (saveSnapshot ->
-// text -> loadSnapshot into a *fresh* manager with a freshly rebuilt model),
+// bytes -> loadSnapshot into a *fresh* manager with a freshly rebuilt model),
 // exactly what the service's on-disk journal does across a process restart.
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "bdd/serialize.hpp"
 #include "svc/job.hpp"
 #include "verif/checkpoint.hpp"
 #include "verif/run_all.hpp"
@@ -217,7 +218,7 @@ TEST(CheckpointResume, SnapshotTextRoundTripsThroughSaveLoad) {
   (void)runMethod(*model.fsm, c.method, model.fdCandidates, options);
   ASSERT_FALSE(snapshots.empty());
 
-  // load -> save on a fresh manager reproduces the same text: the dump is
+  // load -> save on a fresh manager reproduces the same bytes: the dump is
   // canonical under a fixed variable order.
   BddManager mgr2(svc::bddOptionsFor(req));
   ModelInstance model2 = svc::buildJobModel(mgr2, req);
@@ -226,59 +227,6 @@ TEST(CheckpointResume, SnapshotTextRoundTripsThroughSaveLoad) {
   std::ostringstream os2;
   saveSnapshot(os2, mgr2, snapshot);
   EXPECT_EQ(os2.str(), snapshots.front());
-}
-
-TEST(CheckpointResume, BinaryBddSnapshotsResumeIdenticallyToText) {
-  // saveSnapshot's binaryBdds flag swaps the embedded BDD dump for the
-  // icbdd-bdd-v3 format; loadSnapshot auto-detects.  Both encodings of the
-  // same snapshot must decode to the same resumable state.
-  const Case c{"mutex", Method::kXici, 5, 0, true};
-  const svc::JobRequest req = requestFor(c);
-
-  std::vector<std::string> textSnaps;
-  std::vector<std::string> binarySnaps;
-  BddManager baseMgr(svc::bddOptionsFor(req));
-  ModelInstance baseModel = svc::buildJobModel(baseMgr, req);
-  EngineOptions baseOptions = svc::engineOptionsFor(req);
-  baseOptions.checkpoint.everyIterations = 1;
-  baseOptions.checkpoint.sink = [&](const EngineSnapshot& snap) {
-    std::ostringstream text;
-    saveSnapshot(text, baseMgr, snap);
-    textSnaps.push_back(text.str());
-    std::ostringstream binary;
-    saveSnapshot(binary, baseMgr, snap, /*binaryBdds=*/true);
-    binarySnaps.push_back(binary.str());
-  };
-  const EngineResult base =
-      runMethod(*baseModel.fsm, c.method, baseModel.fdCandidates, baseOptions);
-  ASSERT_GE(base.iterations, 2u);
-  ASSERT_EQ(textSnaps.size(), binarySnaps.size());
-  ASSERT_FALSE(binarySnaps.empty());
-
-  const std::size_t mid = binarySnaps.size() / 2;
-  EXPECT_NE(binarySnaps[mid], textSnaps[mid]);
-
-  // Resume from the binary snapshot: same outcome as the uninterrupted run.
-  BddManager resMgr(svc::bddOptionsFor(req));
-  ModelInstance resModel = svc::buildJobModel(resMgr, req);
-  std::istringstream in(binarySnaps[mid]);
-  const EngineSnapshot snapshot = loadSnapshot(in, resMgr);
-  EXPECT_EQ(snapshot.method, c.method);
-  EngineOptions resOptions = svc::engineOptionsFor(req);
-  resOptions.checkpoint.resume = &snapshot;
-  const EngineResult resumed =
-      runMethod(*resModel.fsm, c.method, resModel.fdCandidates, resOptions);
-  expectSameOutcome(c, base, resumed);
-
-  // The binary snapshot re-saved as text reproduces the text snapshot
-  // byte-for-byte: both encodings carry identical state.
-  BddManager rtMgr(svc::bddOptionsFor(req));
-  ModelInstance rtModel = svc::buildJobModel(rtMgr, req);
-  std::istringstream rtIn(binarySnaps[mid]);
-  const EngineSnapshot rtSnap = loadSnapshot(rtIn, rtMgr);
-  std::ostringstream rtOut;
-  saveSnapshot(rtOut, rtMgr, rtSnap);
-  EXPECT_EQ(rtOut.str(), textSnaps[mid]);
 }
 
 TEST(CheckpointResume, LoadSnapshotRejectsGarbage) {
@@ -294,6 +242,76 @@ TEST(CheckpointResume, LoadSnapshotRejectsGarbage) {
   {
     std::istringstream in("icbdd-ckpt-v1\nmethod fwd\n");
     EXPECT_THROW((void)loadSnapshot(in, mgr), BddUsageError);
+  }
+}
+
+TEST(CheckpointResume, EveryDamagedSnapshotIsATypedErrorAtAStreamOffset) {
+  // A small snapshot, cut at every strict prefix and flipped at every byte.
+  // Header damage fails on the header lines; damage inside the embedded
+  // dump fails in loadBdds, whose offsets must count from the start of the
+  // snapshot, not of the dump.
+  BddManager src;
+  for (unsigned i = 0; i < 4; ++i) src.newVar();
+  const Bdd common = src.var(1) ^ src.var(2);
+  EngineSnapshot snap;
+  snap.method = Method::kXici;
+  snap.iteration = 2;
+  snap.numbers = {7};
+  snap.lists = {{src.var(0) & common, !common}, {src.var(3) | common}};
+  std::ostringstream os;
+  saveSnapshot(os, src, snap);
+  const std::string bytes = os.str();
+  const std::size_t dumpStart = bytes.find("icbdd-bdd-v3\n");
+  ASSERT_NE(dumpStart, std::string::npos);
+  {
+    BddManager mgr;
+    std::istringstream in(bytes);
+    EXPECT_EQ(loadSnapshot(in, mgr).lists.size(), 2u);
+  }
+
+  const auto expectTyped = [&](const std::string& bad, std::size_t damageAt,
+                               const std::string& what) {
+    BddManager mgr;
+    std::istringstream in(bad);
+    try {
+      (void)loadSnapshot(in, mgr);
+      ADD_FAILURE() << what << " loaded successfully";
+    } catch (const SerializeError& err) {
+      EXPECT_LE(err.byteOffset(), bytes.size()) << what << ": " << err.what();
+      if (damageAt >= dumpStart) {
+        EXPECT_GE(err.byteOffset(), dumpStart) << what << ": " << err.what();
+      }
+    }
+  };
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    expectTyped(bytes.substr(0, cut), cut,
+                "prefix of " + std::to_string(cut) + " bytes");
+  }
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    std::string bad = bytes;
+    bad[i] = static_cast<char>(bad[i] ^ 0x5a);
+    expectTyped(bad, i, "flip at byte " + std::to_string(i));
+  }
+}
+
+TEST(CheckpointResume, SnapshotWithOldTextDumpIsRejectedTyped) {
+  // A snapshot written before the dump format became binary embeds a text
+  // icbdd-bdd-v2 dump; it is refused by the dump's magic, at its offset.
+  const std::string header =
+      "icbdd-ckpt-v1\nmethod Fwd\niteration 1\nnumbers 0\nlists 1 1\n";
+  const std::string oldDump =
+      "icbdd-bdd-v2\nvars 1\nv 0 x\norder 0\nnodes 1\nn 0 0 T F\n"
+      "roots 1\nr 0\n";
+  BddManager mgr;
+  std::istringstream in(header + oldDump);
+  try {
+    (void)loadSnapshot(in, mgr);
+    FAIL() << "old-format snapshot loaded";
+  } catch (const SerializeError& err) {
+    EXPECT_NE(std::string(err.what()).find("bad magic 'icbdd-bdd-v2'"),
+              std::string::npos)
+        << err.what();
+    EXPECT_EQ(err.byteOffset(), header.size());
   }
 }
 

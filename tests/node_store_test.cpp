@@ -2,16 +2,17 @@
 // 31-bit index-space guard, the deref-underflow guard, and cross-layout
 // persistence.
 //
-// The golden texts below were written by the PRE-packed node layout (the
-// 20-byte struct-of-fields arena) and are embedded verbatim: the packed
-// store must reproduce them bit-for-bit, both when rebuilding the same
-// functions from the generating recipe and when round-tripping the files
-// through load -> save.  That pins the on-disk formats (icbdd-bdd-v1/v2,
-// icbdd-ckpt-v1) as layout-independent contracts.
+// The golden dumps below descend from files written by the PRE-packed node
+// layout (the 20-byte struct-of-fields arena): the packed store must
+// reproduce them bit-for-bit, both when rebuilding the same functions from
+// the generating recipe and when round-tripping the files through load ->
+// save.  That pins the on-disk formats (icbdd-bdd-v3, icbdd-ckpt-v1) as
+// layout-independent contracts.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bdd/node_store.hpp"
@@ -311,8 +312,8 @@ TEST(RefUnderflow, CountedSilentlyWhenCheckingIsOff) {
 // ---------------------------------------------------------------------------
 // cross-layout persistence goldens
 //
-// Generator recipe (fixed forever -- the texts below were captured from it
-// under the pre-packed layout): 8 variables x0..x7, Rng seed 77, six roots
+// Generator recipe (fixed forever -- the dumps below descend from files
+// captured from it under the pre-packed layout): 8 variables x0..x7, Rng seed 77, six roots
 // of goldenRandomBdd depth 5, then applyVarOrder({6,1,7,0,4,3,5,2}).
 
 Bdd goldenRandomBdd(BddManager& mgr, unsigned vars, Rng& rng, unsigned depth) {
@@ -339,92 +340,69 @@ std::vector<Bdd> buildGoldenRoots(BddManager& mgr) {
   return roots;
 }
 
-const char kGoldenV2[] = R"(icbdd-bdd-v2
-vars 8
-v 0 x0
-v 1 x1
-v 2 x2
-v 3 x3
-v 4 x4
-v 5 x5
-v 6 x6
-v 7 x7
-order 6 1 7 0 4 3 5 2
-nodes 64
-n 0 3 T F
-n 1 2 T F
-n 2 5 1 T
-n 3 5 1 F
-n 4 4 T !3
-n 5 0 4 !2
-n 6 7 T 5
-n 7 5 T 1
-n 8 3 7 2
-n 9 5 T !1
-n 10 3 9 !3
-n 11 4 T 10
-n 12 0 11 !8
-n 13 3 1 F
-n 14 0 T !13
-n 15 7 14 12
-n 16 1 15 6
-n 17 0 3 2
-n 18 0 T F
-n 19 7 18 17
-n 20 0 10 !8
-n 21 3 1 T
-n 22 0 21 13
-n 23 7 22 !20
-n 24 1 23 19
-n 25 6 24 !16
-n 26 3 T 1
-n 27 4 8 26
-n 28 3 T 7
-n 29 3 7 T
-n 30 4 29 28
-n 31 0 30 27
-n 32 7 27 31
-n 33 4 T 7
-n 34 1 33 32
-n 35 0 28 26
-n 36 7 26 35
-n 37 1 7 36
-n 38 6 37 34
-n 39 4 T F
-n 40 5 T F
-n 41 4 T !40
-n 42 0 T 41
-n 43 4 40 T
-n 44 0 43 T
-n 45 7 44 42
-n 46 0 T 43
-n 47 7 46 44
-n 48 1 47 45
-n 49 4 T 40
-n 50 0 49 T
-n 51 0 T 40
-n 52 7 51 50
-n 53 4 40 F
-n 54 0 43 !53
-n 55 0 40 T
-n 56 7 55 54
-n 57 1 56 52
-n 58 6 57 48
-n 59 3 T !40
-n 60 3 1 !40
-n 61 4 60 59
-n 62 0 61 !40
-n 63 6 40 62
-roots 6
-r !63
-r !58
-r !39
-r !38
-r !25
-r !0
-)";
+/// Decodes an embedded golden: two hex digits per byte, whitespace ignored.
+std::string fromHex(std::string_view hex) {
+  std::string bytes;
+  int high = -1;
+  for (const char c : hex) {
+    if (c == ' ' || c == '\n') continue;
+    const int nibble = c <= '9' ? c - '0' : c - 'a' + 10;
+    if (high < 0) {
+      high = nibble;
+    } else {
+      bytes.push_back(static_cast<char>(high << 4 | nibble));
+      high = -1;
+    }
+  }
+  return bytes;
+}
 
-TEST(SerializeGolden, PackedStoreReproducesOldLayoutV2Dump) {
+// The recipe's icbdd-bdd-v3 dump.  Derivation: the pre-packed layout wrote
+// the recipe as a text icbdd-bdd-v2 file (embedded verbatim until the text
+// format was retired); the last build that read v2 loaded that file and
+// re-saved it as v3, and checked there that the recipe's own v3 dump is
+// byte-identical to the result.
+const std::string kGoldenDump = fromHex(R"(
+69636264642d6264642d76330a04030201000000000800000000000000400000
+0000000000060000000000000002000000783002000000783102000000783202
+0000007833020000007834020000007835020000007836020000007837060000
+0001000000070000000000000004000000030000000500000002000000000000
+0003000000010000000000000000000000020000000100000000000000040000
+0005000000000000000000000004000000050000000100000000000000000000
+000400000009000000000000000a000000000000000700000000000000000000
+00070000000c0000000000000000000000050000000400000000000000100000
+0003000000060000000000000000000000050000000500000000000000140000
+0003000000090000000000000000000000040000001600000000000000180000
+0000000000130000000000000004000000030000000100000000000000000000
+00000000001d000000000000001e000000070000001a00000000000000200000
+00010000000e0000000000000008000000000000000600000000000000000000
+0000000000010000000000000026000000070000002400000000000000160000
+00000000001300000000000000040000000300000000000000000000002c0000
+00000000001c000000000000002e000000070000002b00000000000000300000
+0001000000280000000000000032000000060000002300000000000000000000
+0003000000040000000000000012000000040000003600000000000000000000
+00030000001000000000000000100000000300000000000000000000003c0000
+00040000003a000000000000003e000000000000003800000000000000380000
+0007000000400000000000000000000000040000001000000000000000440000
+000100000042000000000000003a000000000000003600000000000000360000
+0007000000480000000000000010000000010000004a000000000000004c0000
+0006000000460000000000000000000000040000000100000000000000000000
+0005000000010000000000000000000000040000005300000000000000000000
+0000000000540000000000000052000000040000000000000000000000580000
+000000000000000000000000005a000000070000005600000000000000000000
+000000000058000000000000005e000000070000005a00000000000000600000
+00010000005c0000000000000000000000040000005200000000000000640000
+0000000000000000000000000000000000000000005200000000000000680000
+0007000000660000000000000052000000040000000100000000000000580000
+00000000006d0000000000000052000000000000000000000000000000700000
+00070000006e0000000000000072000000010000006a00000000000000740000
+0006000000620000000000000000000000030000005300000000000000040000
+000300000053000000000000007a0000000400000078000000000000007c0000
+0000000000530000000000000052000000060000007e00000000000000810000
+0077000000510000004f00000035000000030000002402ee9433cfab41
+)");
+
+TEST(SerializeGolden, PackedStoreReproducesOldLayoutDump) {
   // Rebuilding the generating recipe under the packed store must produce
   // the byte-identical file the old layout wrote: node numbering, sharing,
   // complement placement, and the persisted order all survive the layout
@@ -433,42 +411,20 @@ TEST(SerializeGolden, PackedStoreReproducesOldLayoutV2Dump) {
   const std::vector<Bdd> roots = buildGoldenRoots(mgr);
   std::ostringstream os;
   saveBdds(os, mgr, roots);
-  EXPECT_EQ(os.str(), kGoldenV2);
+  EXPECT_EQ(os.str(), kGoldenDump);
 }
 
-TEST(SerializeGolden, OldLayoutV2FileRoundTripsBitForBit) {
+TEST(SerializeGolden, OldLayoutFileRoundTripsBitForBit) {
   BddManager mgr;
-  std::istringstream in(kGoldenV2);
+  std::istringstream in(kGoldenDump);
   const std::vector<Bdd> loaded = loadBdds(in, mgr);
   ASSERT_EQ(loaded.size(), 6u);
 
   std::ostringstream os;
   saveBdds(os, mgr, loaded);
-  EXPECT_EQ(os.str(), kGoldenV2);
+  EXPECT_EQ(os.str(), kGoldenDump);
 
   // And the loaded functions are the recipe's functions.
-  BddManager ref;
-  const std::vector<Bdd> rebuilt = buildGoldenRoots(ref);
-  for (std::size_t i = 0; i < loaded.size(); ++i) {
-    EXPECT_EQ(test::truthTable(loaded[i], 8), test::truthTable(rebuilt[i], 8))
-        << "root " << i;
-  }
-}
-
-TEST(SerializeGolden, OldLayoutV1FileStillLoads) {
-  // v1 == v2 minus the order line, under the v1 magic.  Derive it from the
-  // golden so the two cannot drift apart.
-  std::string v1(kGoldenV2);
-  v1.replace(v1.find("icbdd-bdd-v2"), 12, "icbdd-bdd-v1");
-  const std::size_t orderAt = v1.find("order ");
-  ASSERT_NE(orderAt, std::string::npos);
-  v1.erase(orderAt, v1.find('\n', orderAt) - orderAt + 1);
-
-  BddManager mgr;  // empty: load creates the variables, order stays identity
-  std::istringstream in(v1);
-  const std::vector<Bdd> loaded = loadBdds(in, mgr);
-  ASSERT_EQ(loaded.size(), 6u);
-
   BddManager ref;
   const std::vector<Bdd> rebuilt = buildGoldenRoots(ref);
   for (std::size_t i = 0; i < loaded.size(); ++i) {
@@ -483,225 +439,120 @@ TEST(SerializeGolden, OldLayoutV1FileStillLoads) {
 // Snapshot captured under the pre-packed layout from: fifo model, size 4,
 // width 4, forward reachability, checkpoint every iteration, snapshot taken
 // at iteration 3 of 5.  The full run holds (verdict kHolds, 5 iterations).
-
-const char kGoldenCkpt[] = R"(icbdd-ckpt-v1
-method Fwd
-iteration 3
-numbers 0
-lists 2 1 4
-icbdd-bdd-v2
-vars 36
-v 0 in_sel
-v 1 in_b0
-v 2 q0_b0
-v 3 q0_b0'
-v 4 q1_b0
-v 5 q1_b0'
-v 6 q2_b0
-v 7 q2_b0'
-v 8 q3_b0
-v 9 q3_b0'
-v 10 in_b1
-v 11 q0_b1
-v 12 q0_b1'
-v 13 q1_b1
-v 14 q1_b1'
-v 15 q2_b1
-v 16 q2_b1'
-v 17 q3_b1
-v 18 q3_b1'
-v 19 in_b2
-v 20 q0_b2
-v 21 q0_b2'
-v 22 q1_b2
-v 23 q1_b2'
-v 24 q2_b2
-v 25 q2_b2'
-v 26 q3_b2
-v 27 q3_b2'
-v 28 q0_b3
-v 29 q0_b3'
-v 30 q1_b3
-v 31 q1_b3'
-v 32 q2_b3
-v 33 q2_b3'
-v 34 q3_b3
-v 35 q3_b3'
-order 0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32 33 34 35
-nodes 166
-n 0 34 T F
-n 1 32 0 T
-n 2 26 T 1
-n 3 32 T 0
-n 4 26 T 3
-n 5 24 4 2
-n 6 30 T 1
-n 7 26 T 6
-n 8 30 T 3
-n 9 26 T 8
-n 10 24 9 7
-n 11 22 10 5
-n 12 28 T 1
-n 13 26 T 12
-n 14 28 T 3
-n 15 26 T 14
-n 16 24 15 13
-n 17 28 T 6
-n 18 26 T 17
-n 19 28 T 8
-n 20 26 T 19
-n 21 24 20 18
-n 22 22 21 16
-n 23 20 22 11
-n 24 17 T 23
-n 25 22 9 4
-n 26 22 20 15
-n 27 20 26 25
-n 28 17 T 27
-n 29 15 28 24
-n 30 20 21 10
-n 31 17 T 30
-n 32 20 20 9
-n 33 17 T 32
-n 34 15 33 31
-n 35 13 34 29
-n 36 17 T 22
-n 37 17 T 26
-n 38 15 37 36
-n 39 17 T 21
-n 40 17 T 20
-n 41 15 40 39
-n 42 13 41 38
-n 43 11 42 35
-n 44 8 T 43
-n 45 13 33 28
-n 46 13 40 37
-n 47 11 46 45
-n 48 8 T 47
-n 49 6 48 44
-n 50 11 41 34
-n 51 8 T 50
-n 52 11 40 33
-n 53 8 T 52
-n 54 6 53 51
-n 55 4 54 49
-n 56 8 T 42
-n 57 8 T 46
-n 58 6 57 56
-n 59 8 T 41
-n 60 8 T 40
-n 61 6 60 59
-n 62 4 61 58
-n 63 2 62 55
-n 64 30 3 T
-n 65 26 T 64
-n 66 24 T 65
-n 67 24 T 9
-n 68 22 67 66
-n 69 28 T 64
-n 70 26 T 69
-n 71 24 T 70
-n 72 24 T 20
-n 73 22 72 71
-n 74 20 73 68
-n 75 17 T 74
-n 76 15 T 75
-n 77 20 72 67
-n 78 17 T 77
-n 79 15 T 78
-n 80 13 79 76
-n 81 17 T 73
-n 82 15 T 81
-n 83 17 T 72
-n 84 15 T 83
-n 85 13 84 82
-n 86 11 85 80
-n 87 8 T 86
-n 88 6 T 87
-n 89 11 84 79
-n 90 8 T 89
-n 91 6 T 90
-n 92 4 91 88
-n 93 8 T 85
-n 94 6 T 93
-n 95 8 T 84
-n 96 6 T 95
-n 97 4 96 94
-n 98 2 97 92
-n 99 28 8 T
-n 100 26 T 99
-n 101 24 T 100
-n 102 22 T 101
-n 103 22 T 72
-n 104 20 103 102
-n 105 17 T 104
-n 106 15 T 105
-n 107 13 T 106
-n 108 17 T 103
-n 109 15 T 108
-n 110 13 T 109
-n 111 11 110 107
-n 112 8 T 111
-n 113 6 T 112
-n 114 4 T 113
-n 115 8 T 110
-n 116 6 T 115
-n 117 4 T 116
-n 118 2 117 114
-n 119 20 T 103
-n 120 17 T 119
-n 121 15 T 120
-n 122 13 T 121
-n 123 11 T 122
-n 124 8 T 123
-n 125 6 T 124
-n 126 4 T 125
-n 127 2 T 126
-n 128 26 T 0
-n 129 24 4 128
-n 130 30 T 0
-n 131 26 T 130
-n 132 24 9 131
-n 133 22 132 129
-n 134 28 T 0
-n 135 26 T 134
-n 136 24 15 135
-n 137 28 T 130
-n 138 26 T 137
-n 139 24 20 138
-n 140 22 139 136
-n 141 20 140 133
-n 142 17 T 141
-n 143 15 28 142
-n 144 20 139 132
-n 145 17 T 144
-n 146 15 33 145
-n 147 13 146 143
-n 148 17 T 140
-n 149 15 37 148
-n 150 17 T 139
-n 151 15 40 150
-n 152 13 151 149
-n 153 11 152 147
-n 154 8 T 153
-n 155 6 48 154
-n 156 11 151 146
-n 157 8 T 156
-n 158 6 53 157
-n 159 4 158 155
-n 160 8 T 152
-n 161 6 57 160
-n 162 8 T 151
-n 163 6 60 162
-n 164 4 163 161
-n 165 2 164 159
-roots 5
-r !165
-r !127
-r !118
-r !98
-r !63
-)";
+//
+// Derivation as for kGoldenDump: the pre-packed layout wrote this snapshot
+// with a text icbdd-bdd-v2 dump; the last build that read v2 loaded it into
+// the model's manager and re-saved it with a v3 dump, and checked there
+// that a fresh run's iteration-3 snapshot is byte-identical to the result.
+const std::string kGoldenCkpt =
+    "icbdd-ckpt-v1\n"
+    "method Fwd\n"
+    "iteration 3\n"
+    "numbers 0\n"
+    "lists 2 1 4\n" +
+    fromHex(R"(
+69636264642d6264642d76330a04030201000000002400000000000000a60000
+0000000000050000000000000006000000696e5f73656c05000000696e5f6230
+0500000071305f62300600000071305f6230270500000071315f623006000000
+71315f6230270500000071325f62300600000071325f6230270500000071335f
+62300600000071335f62302705000000696e5f62310500000071305f62310600
+000071305f6231270500000071315f62310600000071315f6231270500000071
+325f62310600000071325f6231270500000071335f62310600000071335f6231
+2705000000696e5f62320500000071305f62320600000071305f623227050000
+0071315f62320600000071315f6232270500000071325f62320600000071325f
+6232270500000071335f62320600000071335f6232270500000071305f623306
+00000071305f6233270500000071315f62330600000071315f62332705000000
+71325f62330600000071325f6233270500000071335f62330600000071335f62
+3327000000000100000002000000030000000400000005000000060000000700
+000008000000090000000a0000000b0000000c0000000d0000000e0000000f00
+0000100000001100000012000000130000001400000015000000160000001700
+000018000000190000001a0000001b0000001c0000001d0000001e0000001f00
+0000200000002100000022000000230000000000000022000000010000000000
+000002000000200000000000000000000000000000001a000000040000000000
+000000000000200000000200000000000000000000001a000000080000000000
+00000a000000180000000600000000000000000000001e000000040000000000
+0000000000001a0000000e00000000000000000000001e000000080000000000
+0000000000001a00000012000000000000001400000018000000100000000000
+000016000000160000000c00000000000000000000001c000000040000000000
+0000000000001a0000001a00000000000000000000001c000000080000000000
+0000000000001a0000001e0000000000000020000000180000001c0000000000
+0000000000001c0000000e00000000000000000000001a000000240000000000
+0000000000001c0000001200000000000000000000001a000000280000000000
+00002a0000001800000026000000000000002c00000016000000220000000000
+00002e0000001400000018000000000000000000000011000000300000000000
+000014000000160000000a000000000000002a00000016000000200000000000
+0000360000001400000034000000000000000000000011000000380000000000
+00003a0000000f00000032000000000000002c00000014000000160000000000
+000000000000110000003e000000000000002a00000014000000140000000000
+000000000000110000004200000000000000440000000f000000400000000000
+0000460000000d0000003c0000000000000000000000110000002e0000000000
+0000000000001100000036000000000000004c0000000f0000004a0000000000
+000000000000110000002c0000000000000000000000110000002a0000000000
+0000520000000f0000005000000000000000540000000d0000004e0000000000
+0000560000000b00000048000000000000000000000008000000580000000000
+0000440000000d0000003a00000000000000520000000d0000004c0000000000
+00005e0000000b0000005c000000000000000000000008000000600000000000
+000062000000060000005a00000000000000540000000b000000460000000000
+000000000000080000006600000000000000520000000b000000440000000000
+000000000000080000006a000000000000006c00000006000000680000000000
+00006e0000000400000064000000000000000000000008000000560000000000
+000000000000080000005e000000000000007400000006000000720000000000
+0000000000000800000054000000000000000000000008000000520000000000
+00007a0000000600000078000000000000007c00000004000000760000000000
+00007e000000020000007000000000000000080000001e000000000000000000
+0000000000001a00000082000000000000000000000018000000840000000000
+0000000000001800000014000000000000008800000016000000860000000000
+0000000000001c0000008200000000000000000000001a0000008c0000000000
+000000000000180000008e0000000000000000000000180000002a0000000000
+00009200000016000000900000000000000094000000140000008a0000000000
+000000000000110000009600000000000000000000000f000000980000000000
+00009200000014000000880000000000000000000000110000009c0000000000
+0000000000000f0000009e00000000000000a00000000d0000009a0000000000
+000000000000110000009400000000000000000000000f000000a40000000000
+000000000000110000009200000000000000000000000f000000a80000000000
+0000aa0000000d000000a600000000000000ac0000000b000000a20000000000
+00000000000008000000ae000000000000000000000006000000b00000000000
+0000aa0000000b000000a0000000000000000000000008000000b40000000000
+00000000000006000000b600000000000000b800000004000000b20000000000
+00000000000008000000ac000000000000000000000006000000bc0000000000
+00000000000008000000aa000000000000000000000006000000c00000000000
+0000c200000004000000be00000000000000c400000002000000ba0000000000
+0000120000001c0000000000000000000000000000001a000000c80000000000
+00000000000018000000ca000000000000000000000016000000cc0000000000
+000000000000160000009200000000000000d000000014000000ce0000000000
+00000000000011000000d200000000000000000000000f000000d40000000000
+0000000000000d000000d6000000000000000000000011000000d00000000000
+0000000000000f000000da00000000000000000000000d000000dc0000000000
+0000de0000000b000000d8000000000000000000000008000000e00000000000
+00000000000006000000e2000000000000000000000004000000e40000000000
+00000000000008000000de000000000000000000000006000000e80000000000
+00000000000004000000ea00000000000000ec00000002000000e60000000000
+00000000000014000000d0000000000000000000000011000000f00000000000
+0000000000000f000000f200000000000000000000000d000000f40000000000
+0000000000000b000000f6000000000000000000000008000000f80000000000
+00000000000006000000fa000000000000000000000004000000fc0000000000
+00000000000002000000fe00000000000000000000001a000000020000000000
+00000a000000180000000201000000000000000000001e000000020000000000
+0000000000001a00000006010000000000001400000018000000080100000000
+00000a010000160000000401000000000000000000001c000000020000000000
+0000000000001a0000000e010000000000002000000018000000100100000000
+0000000000001c0000000601000000000000000000001a000000140100000000
+00002a0000001800000016010000000000001801000016000000120100000000
+00001a010000140000000c0100000000000000000000110000001c0100000000
+00003a0000000f0000001e0100000000000018010000140000000a0100000000
+000000000000110000002201000000000000440000000f000000240100000000
+0000260100000d000000200100000000000000000000110000001a0100000000
+00004c0000000f0000002a010000000000000000000011000000180100000000
+0000520000000f0000002e01000000000000300100000d0000002c0100000000
+0000320100000b00000028010000000000000000000008000000340100000000
+000062000000060000003601000000000000300100000b000000260100000000
+000000000000080000003a010000000000006c000000060000003c0100000000
+00003e0100000400000038010000000000000000000008000000320100000000
+0000740000000600000042010000000000000000000008000000300100000000
+00007a0000000600000046010000000000004801000004000000440100000000
+00004a0100000200000040010000000000004d01000001010000ef000000c700
+0000810000002917eb3a312f0d9d
+)");
 
 svc::JobRequest goldenCkptRequest() {
   svc::JobRequest req;

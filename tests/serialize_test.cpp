@@ -1,10 +1,11 @@
-// Round-trip tests for the textual (v1/v2) and binary (icbdd-bdd-v3) BDD
-// serialization, plus a fuzz-style corpus sweep proving that every
-// truncation or corruption fails as a typed SerializeError with a byte
-// offset -- never a crash, a hang, or a silent partial load.
+// Round-trip tests for the icbdd-bdd-v3 BDD serialization, plus a
+// fuzz-style corpus sweep proving that every truncation or corruption fails
+// as a typed SerializeError with a byte offset -- never a crash, a hang, or
+// a silent partial load.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -14,6 +15,55 @@
 
 namespace icb {
 namespace {
+
+/// A small but representative dump: complement edges, shared subgraphs,
+/// constant and non-constant roots.  Its 4 variables are named v0..v3 and
+/// sit in the default order; its first node record tests v3.
+std::string corpusDump() {
+  BddManager src;
+  for (unsigned i = 0; i < 4; ++i) src.newVar("v" + std::to_string(i));
+  const Bdd common = src.var(1) ^ src.var(2);
+  const std::vector<Bdd> roots{src.var(0) & common, !common, src.one(),
+                               (src.var(3) | common) & src.var(0)};
+  std::ostringstream os;
+  saveBdds(os, src, roots);
+  return os.str();
+}
+
+constexpr std::size_t kMagicSize = sizeof "icbdd-bdd-v3\n" - 1;
+constexpr std::size_t kHeaderSize = kMagicSize + 4 + 4 + 3 * 8;
+
+/// Offset of the corpus dump's first node record: after the header, the
+/// four one-letter-plus-digit names (u32 length + 2 bytes) and the order.
+constexpr std::size_t kCorpusFirstRecord = kHeaderSize + 4 * (4 + 2) + 4 * 4;
+
+/// Re-computes the trailing FNV-1a checksum after a deliberate edit, so the
+/// edit reaches the loader's structural checks instead of the checksum.
+std::string resealed(std::string dump) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (std::size_t i = kMagicSize; i + 8 < dump.size(); ++i) {
+    hash = (hash ^ static_cast<unsigned char>(dump[i])) * 0x100000001b3ull;
+  }
+  for (int i = 0; i < 8; ++i) {
+    dump[dump.size() - 8 + static_cast<std::size_t>(i)] =
+        static_cast<char>(hash >> (8 * i));
+  }
+  return dump;
+}
+
+/// Loading `bytes` into a fresh manager must throw SerializeError whose
+/// message contains `needle`.
+void expectRejected(const std::string& bytes, const std::string& needle) {
+  BddManager mgr;
+  std::istringstream is(bytes);
+  try {
+    (void)loadBdds(is, mgr);
+    FAIL() << "loaded successfully; expected '" << needle << "'";
+  } catch (const SerializeError& err) {
+    EXPECT_NE(std::string(err.what()).find(needle), std::string::npos)
+        << err.what();
+  }
+}
 
 TEST(Serialize, RoundTripRandomFunctions) {
   BddManager src;
@@ -75,31 +125,42 @@ TEST(Serialize, ConstantsAndEmptyRootList) {
 }
 
 TEST(Serialize, RejectsGarbage) {
-  BddManager mgr;
+  expectRejected("not-a-bdd-file\n", "bad magic 'not-a-bdd-fil'");
+  // The retired text formats are refused by their magic, not misparsed.
+  expectRejected("icbdd-bdd-v1\nvars 1\nv 0 x\nnodes 1\nn 0 0 T Q\n",
+                 "bad magic 'icbdd-bdd-v1'");
+  expectRejected("icbdd-bdd-v2\nvars 1\nv 0 x\norder 0\nnodes 0\nroots 0\n",
+                 "bad magic 'icbdd-bdd-v2'");
+
+  const std::string dump = corpusDump();
+  ASSERT_EQ(dump[kCorpusFirstRecord + 4], 3);  // node 0 tests v3
   {
-    std::istringstream is("not-a-bdd-file\n");
-    EXPECT_THROW(loadBdds(is, mgr), BddUsageError);
+    // A child reference to a node not yet decoded (hi ref of node 0 -> 5).
+    std::string bad = dump;
+    bad[kCorpusFirstRecord] = static_cast<char>((5 + 1) << 1);
+    expectRejected(resealed(bad), "points past the nodes decoded so far");
   }
   {
-    std::istringstream is("icbdd-bdd-v1\nvars 1\nv 0 x\nnodes 1\nn 0 0 T Q\n");
-    EXPECT_THROW(loadBdds(is, mgr), BddUsageError);
+    // A node variable the file does not declare.
+    std::string bad = dump;
+    bad[kCorpusFirstRecord + 4] = 9;
+    expectRejected(resealed(bad), "node variable 9 out of range");
   }
   {
-    std::istringstream is("icbdd-bdd-v1\nvars 1\nv 0 x\nnodes 1\nn 0 0 T 5\n");
-    EXPECT_THROW(loadBdds(is, mgr), BddUsageError);
+    // An order table that is not a permutation (level 1 repeats v0).
+    std::string bad = dump;
+    bad[kCorpusFirstRecord - 12] = 0;
+    expectRejected(resealed(bad), "not a permutation");
   }
-  {
-    // Truncated file.
-    std::istringstream is("icbdd-bdd-v1\nvars 1\n");
-    EXPECT_THROW(loadBdds(is, mgr), BddUsageError);
-  }
+  // Truncated file: the magic and endian tag only.
+  expectRejected(dump.substr(0, kMagicSize + 4), "truncated");
 }
 
 TEST(Serialize, RoundTripAfterReordering) {
   // Serialization stores variables, not levels: a file written under a
   // sifted order loads into a fresh manager and still denotes the same
-  // functions.  Since v2 the file also carries the writer's level->var
-  // map, so the fresh manager additionally adopts the sifted order.
+  // functions.  The file also carries the writer's level->var map, so the
+  // fresh manager additionally adopts the sifted order.
   BddManager src;
   constexpr unsigned kVars = 8;
   for (unsigned i = 0; i < kVars; ++i) src.newVar();
@@ -117,42 +178,7 @@ TEST(Serialize, RoundTripAfterReordering) {
   EXPECT_EQ(test::truthTable(loaded[0], kVars), table);
 }
 
-TEST(Serialize, V2PersistsVariableOrder) {
-  // The regression this guards: a snapshot taken after dynamic reordering
-  // must restore into a manager with the *same* order, or resumed runs see
-  // differently-shaped (Restrict-simplified) BDDs and diverge byte-wise.
-  BddManager src;
-  constexpr unsigned kVars = 8;
-  for (unsigned i = 0; i < kVars; ++i) src.newVar("x" + std::to_string(i));
-  Rng rng(23);
-  std::vector<Bdd> roots;
-  for (int i = 0; i < 6; ++i) roots.push_back(test::randomBdd(src, kVars, rng, 5));
-  // Force a decidedly non-default order (a sift() might settle on identity).
-  const std::vector<unsigned> shuffled{7, 0, 6, 1, 5, 2, 4, 3};
-  applyVarOrder(src, shuffled);
-  for (unsigned level = 0; level < kVars; ++level) {
-    ASSERT_EQ(src.varAtLevel(level), shuffled[level]);
-  }
-
-  std::ostringstream os;
-  saveBdds(os, src, roots);
-
-  BddManager dst;  // fresh: variables and order both come from the file
-  std::istringstream is(os.str());
-  const auto loaded = loadBdds(is, dst);
-  ASSERT_EQ(dst.varCount(), kVars);
-  for (unsigned level = 0; level < kVars; ++level) {
-    EXPECT_EQ(dst.varAtLevel(level), src.varAtLevel(level)) << "level " << level;
-  }
-  // Same order => structurally identical DAG, not just the same functions.
-  EXPECT_EQ(sharedSize(loaded), sharedSize(roots));
-  for (std::size_t i = 0; i < roots.size(); ++i) {
-    EXPECT_EQ(test::truthTable(loaded[i], kVars),
-              test::truthTable(roots[i], kVars));
-  }
-}
-
-TEST(Serialize, V2OrderRestoredIntoAutoReorderManager) {
+TEST(Serialize, OrderRestoredIntoAutoReorderManager) {
   // applyVarOrder must compose with a destination manager that has dynamic
   // reordering enabled (the service resumes jobs with auto_reorder on).
   BddManager src;
@@ -178,27 +204,6 @@ TEST(Serialize, V2OrderRestoredIntoAutoReorderManager) {
   EXPECT_EQ(test::truthTable(loaded[0], kVars), table);
 }
 
-TEST(Serialize, V1FilesWithoutOrderLineStillLoad) {
-  // Pre-order-line files load with the manager's current (default) order.
-  const std::string v1 =
-      "icbdd-bdd-v1\n"
-      "vars 2\n"
-      "v 0 a\n"
-      "v 1 b\n"
-      "nodes 2\n"
-      "n 0 1 T F\n"
-      "n 1 0 0 F\n"
-      "roots 1\n"
-      "r 1\n";
-  BddManager dst;
-  std::istringstream is(v1);
-  const auto loaded = loadBdds(is, dst);
-  ASSERT_EQ(loaded.size(), 1u);
-  EXPECT_EQ(loaded[0], Bdd(dst.var(0) & dst.var(1)));
-  EXPECT_EQ(dst.varAtLevel(0), 0u);
-  EXPECT_EQ(dst.varAtLevel(1), 1u);
-}
-
 TEST(Serialize, ApplyVarOrderRejectsBadPermutations) {
   BddManager mgr;
   for (unsigned i = 0; i < 4; ++i) mgr.newVar();
@@ -222,7 +227,7 @@ TEST(Serialize, ApplyVarOrderRejectsBadPermutations) {
 }
 
 // ---------------------------------------------------------------------------
-// Binary (icbdd-bdd-v3) format
+// Byte-level properties of the format
 
 TEST(SerializeV3, BinaryRoundTripIsBitIdentical) {
   BddManager src;
@@ -240,7 +245,7 @@ TEST(SerializeV3, BinaryRoundTripIsBitIdentical) {
   roots.push_back(!roots[0]);
 
   std::ostringstream os;
-  saveBddsBinary(os, src, roots);
+  saveBdds(os, src, roots);
   const std::string dump = os.str();
 
   BddManager dst;  // empty: variables come from the file
@@ -259,56 +264,42 @@ TEST(SerializeV3, BinaryRoundTripIsBitIdentical) {
   // Bit-identical re-dump: same vars, same order, same DAG => the second
   // writer walks the identical topological order and emits the same bytes.
   std::ostringstream os2;
-  saveBddsBinary(os2, dst, loaded);
+  saveBdds(os2, dst, loaded);
   EXPECT_EQ(os2.str(), dump);
 }
 
 TEST(SerializeV3, BinaryPersistsVariableOrderAndSharing) {
+  // The regression this guards: a snapshot taken after dynamic reordering
+  // must restore into a manager with the *same* order, or resumed runs see
+  // differently-shaped (Restrict-simplified) BDDs and diverge byte-wise.
   BddManager src;
   constexpr unsigned kVars = 8;
-  for (unsigned i = 0; i < kVars; ++i) src.newVar();
+  for (unsigned i = 0; i < kVars; ++i) src.newVar("x" + std::to_string(i));
   Rng rng(13);
   std::vector<Bdd> roots;
   for (int i = 0; i < 6; ++i) roots.push_back(test::randomBdd(src, kVars, rng, 5));
+  // Force a decidedly non-default order (a sift() might settle on identity).
   const std::vector<unsigned> shuffled{6, 2, 7, 0, 5, 1, 4, 3};
   applyVarOrder(src, shuffled);
+  for (unsigned level = 0; level < kVars; ++level) {
+    ASSERT_EQ(src.varAtLevel(level), shuffled[level]);
+  }
 
   std::ostringstream os;
-  saveBddsBinary(os, src, roots);
-  BddManager dst;
+  saveBdds(os, src, roots);
+  BddManager dst;  // fresh: variables, names and order come from the file
   std::istringstream is(os.str());
   const auto loaded = loadBdds(is, dst);
+  ASSERT_EQ(dst.varCount(), kVars);
+  EXPECT_EQ(dst.varName(5), "x5");
   for (unsigned level = 0; level < kVars; ++level) {
     EXPECT_EQ(dst.varAtLevel(level), shuffled[level]) << "level " << level;
   }
+  // Same order => structurally identical DAG, not just the same functions.
   EXPECT_EQ(sharedSize(loaded), sharedSize(roots));
   for (std::size_t i = 0; i < roots.size(); ++i) {
     EXPECT_EQ(test::truthTable(loaded[i], kVars),
               test::truthTable(roots[i], kVars));
-  }
-}
-
-TEST(SerializeV3, TextAndBinaryDenoteTheSameFunctions) {
-  BddManager src;
-  constexpr unsigned kVars = 6;
-  for (unsigned i = 0; i < kVars; ++i) src.newVar();
-  Rng rng(17);
-  const std::vector<Bdd> roots{test::randomBdd(src, kVars, rng, 6),
-                               test::randomBdd(src, kVars, rng, 6)};
-  std::ostringstream text;
-  std::ostringstream binary;
-  saveBdds(text, src, roots);
-  saveBddsBinary(binary, src, roots);
-
-  BddManager fromText;
-  BddManager fromBinary;
-  std::istringstream ist(text.str());
-  std::istringstream isb(binary.str());
-  const auto a = loadBdds(ist, fromText);
-  const auto b = loadBdds(isb, fromBinary);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(test::truthTable(a[i], kVars), test::truthTable(b[i], kVars));
   }
 }
 
@@ -318,30 +309,30 @@ TEST(SerializeV3, InspectDumpReportsHeaderWithoutLoading) {
   Rng rng(19);
   const std::vector<Bdd> roots{test::randomBdd(src, 4, rng, 4),
                                test::randomBdd(src, 4, rng, 4)};
-  DumpInfo binInfo;
-  {
-    std::ostringstream os;
-    saveBddsBinary(os, src, roots);
-    std::istringstream is(os.str());
-    binInfo = inspectDump(is);
-    EXPECT_EQ(binInfo.version, 3);
-    EXPECT_TRUE(binInfo.binary);
-    EXPECT_EQ(binInfo.varCount, 4u);
-    EXPECT_EQ(binInfo.rootCount, 2u);
-    EXPECT_GT(binInfo.nodeCount, 0u);
-    EXPECT_EQ(binInfo.nodeBytes, binInfo.nodeCount * 16);
+  std::ostringstream os;
+  saveBdds(os, src, roots);
+  std::istringstream is(os.str());
+  const DumpInfo info = inspectDump(is);
+  EXPECT_EQ(info.varCount, 4u);
+  EXPECT_EQ(info.rootCount, 2u);
+  EXPECT_GT(info.nodeCount, 0u);
+  EXPECT_EQ(info.nodeBytes, info.nodeCount * 16);
+
+  // readDump decodes the records the header announces, still without
+  // building nodes: children precede parents, roots name decoded nodes.
+  std::istringstream whole(os.str());
+  const DumpRecords records = readDump(whole);
+  EXPECT_EQ(records.varNames.size(), info.varCount);
+  EXPECT_EQ(records.level2var, (std::vector<unsigned>{0, 1, 2, 3}));
+  ASSERT_EQ(records.nodes.size(), info.nodeCount);
+  ASSERT_EQ(records.roots.size(), info.rootCount);
+  for (std::size_t i = 0; i < records.nodes.size(); ++i) {
+    for (const std::uint32_t ref : {records.nodes[i].hi, records.nodes[i].lo}) {
+      EXPECT_TRUE(ref <= 1 || (ref >> 1) - 1 < i) << "node " << i;
+    }
   }
-  {
-    std::ostringstream os;
-    saveBdds(os, src, roots);
-    std::istringstream is(os.str());
-    const DumpInfo info = inspectDump(is);
-    EXPECT_EQ(info.version, 2);
-    EXPECT_FALSE(info.binary);
-    EXPECT_EQ(info.varCount, 4u);
-    EXPECT_EQ(info.rootCount, 2u);
-    // Both writers walk the same topological order: identical node counts.
-    EXPECT_EQ(info.nodeCount, binInfo.nodeCount);
+  for (const std::uint32_t ref : records.roots) {
+    EXPECT_TRUE(ref <= 1 || (ref >> 1) - 1 < records.nodes.size());
   }
 }
 
@@ -349,23 +340,6 @@ TEST(SerializeV3, InspectDumpReportsHeaderWithoutLoading) {
 // Fuzz-style corpus: truncation and corruption are typed errors
 
 namespace fuzz {
-
-/// A small but representative corpus dump: complement edges, shared
-/// subgraphs, constant and non-constant roots.
-std::string corpus(bool binary) {
-  BddManager src;
-  for (unsigned i = 0; i < 4; ++i) src.newVar("v" + std::to_string(i));
-  const Bdd common = src.var(1) ^ src.var(2);
-  const std::vector<Bdd> roots{src.var(0) & common, !common, src.one(),
-                               (src.var(3) | common) & src.var(0)};
-  std::ostringstream os;
-  if (binary) {
-    saveBddsBinary(os, src, roots);
-  } else {
-    saveBdds(os, src, roots);
-  }
-  return os.str();
-}
 
 /// Loading `bytes` must throw SerializeError -- the typed class, with a
 /// plausible byte offset surfaced both structurally and in the message.
@@ -390,33 +364,10 @@ void expectTypedFailure(const std::string& bytes, std::size_t cut) {
 TEST(SerializeFuzz, EveryBinaryTruncationIsATypedError) {
   // The v3 trailing checksum makes every strict prefix invalid: whatever
   // field the cut lands in, some later read hits EOF.
-  const std::string dump = fuzz::corpus(/*binary=*/true);
+  const std::string dump = corpusDump();
   ASSERT_GT(dump.size(), 100u);
   for (std::size_t cut = 0; cut < dump.size(); ++cut) {
     fuzz::expectTypedFailure(dump, cut);
-  }
-}
-
-TEST(SerializeFuzz, EveryTextTruncationBeforeTheLastLineIsATypedError) {
-  const std::string dump = fuzz::corpus(/*binary=*/false);
-  ASSERT_GT(dump.size(), 50u);
-  ASSERT_EQ(dump.back(), '\n');
-  // Cuts inside the final "r ..." line can still parse (a shortened decimal
-  // reference is a different, valid reference), and dropping only the final
-  // newline is exactly the stream getline still accepts; everything earlier
-  // must fail typed.
-  const std::size_t lastLineStart = dump.rfind('\n', dump.size() - 2) + 1;
-  for (std::size_t cut = 0; cut < lastLineStart; ++cut) {
-    fuzz::expectTypedFailure(dump, cut);
-  }
-  for (std::size_t cut = lastLineStart; cut < dump.size(); ++cut) {
-    BddManager mgr;
-    std::istringstream is(dump.substr(0, cut));
-    try {
-      (void)loadBdds(is, mgr);  // permitted: the prefix may still be valid
-    } catch (const SerializeError&) {
-      // permitted: typed failure
-    }
   }
 }
 
@@ -424,7 +375,7 @@ TEST(SerializeFuzz, EveryBinaryByteFlipIsATypedError) {
   // Single-byte corruption anywhere in a v3 dump is caught: structural
   // checks (magic, endian tag, ranges, reserved bits) or, failing those,
   // the trailing FNV-1a checksum.
-  const std::string dump = fuzz::corpus(/*binary=*/true);
+  const std::string dump = corpusDump();
   for (std::size_t i = 0; i < dump.size(); ++i) {
     std::string bad = dump;
     bad[i] = static_cast<char>(bad[i] ^ 0x5a);
@@ -442,26 +393,22 @@ TEST(SerializeFuzz, EveryBinaryByteFlipIsATypedError) {
 TEST(SerializeFuzz, HeaderlessCountLinesAreNotASilentEmptyLoad) {
   // Regression: counts whose number is missing used to extract as zero on
   // some paths, turning a mangled dump into a successful load of nothing.
-  BddManager mgr;
-  {
-    std::istringstream is("icbdd-bdd-v1\nvars\nnodes\nroots\n");
-    EXPECT_THROW((void)loadBdds(is, mgr), SerializeError);
-  }
-  {
-    std::istringstream is("icbdd-bdd-v2\n");
-    EXPECT_THROW((void)loadBdds(is, mgr), SerializeError);
-  }
-  {
-    std::istringstream is("");
-    EXPECT_THROW((void)loadBdds(is, mgr), SerializeError);
-  }
+  // A dump that stops at or inside its counts is a typed truncation.
+  const std::string dump = corpusDump();
+  expectRejected("", "truncated input reading magic line");
+  expectRejected(dump.substr(0, kMagicSize), "truncated input reading endian");
+  expectRejected(dump.substr(0, kMagicSize + 8), "reading var count");
+  expectRejected(dump.substr(0, kHeaderSize - 3), "reading root count");
+  // Counts present, records missing.
+  expectRejected(dump.substr(0, kHeaderSize), "reading name length");
+  expectRejected("icbdd-bdd-v2\n", "bad magic 'icbdd-bdd-v2'");
 }
 
 TEST(SerializeFuzz, ImplausibleBinaryCountsFailFastNotBigAlloc) {
   // A dump declaring 2^60 nodes (or a 4 GiB variable name) must fail as a
   // typed truncation/corruption error when the bytes run out, not attempt
   // the allocation up front.
-  const std::string dump = fuzz::corpus(/*binary=*/true);
+  const std::string dump = corpusDump();
   const std::size_t bodyStart = dump.find('\n') + 1;
   // node count: u64 at body offset 8 (endian tag, flags) + 8 (var count).
   std::string bad = dump;
@@ -474,7 +421,7 @@ TEST(SerializeFuzz, ImplausibleBinaryCountsFailFastNotBigAlloc) {
 }
 
 TEST(SerializeFuzz, SerializeErrorCarriesOffsetAndDerivesFromUsageError) {
-  const std::string dump = fuzz::corpus(/*binary=*/false);
+  const std::string dump = corpusDump();
   BddManager mgr;
   std::istringstream is(dump.substr(0, dump.size() / 2));
   bool threw = false;

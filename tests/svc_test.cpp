@@ -228,6 +228,42 @@ TEST(SvcJournal, RecoverResumesFromCheckpointAcrossInstances) {
   EXPECT_TRUE(after.recoverableRequests().empty());
 }
 
+TEST(SvcJournal, OldFormatCheckpointFailsTheResumedJobTyped) {
+  // A checkpoint journaled before the dump format became binary embeds a
+  // text icbdd-bdd-v2 dump.  Recovering it ends the job in a typed
+  // job_failed naming the bad magic -- no crash, no result, clean journal.
+  const std::string dir = uniqueDir("oldckpt");
+  {
+    JobJournal journal(dir);
+    journal.recordAccepted(
+        "old", R"({"id":"old","model":"fifo","method":"fwd","size":4,"width":4})");
+    journal.recordCheckpoint(
+        "old",
+        "icbdd-ckpt-v1\nmethod Fwd\niteration 1\nnumbers 0\nlists 1 1\n"
+        "icbdd-bdd-v2\nvars 1\nv 0 in_sel\norder 0\nnodes 0\nroots 1\nr T\n");
+  }
+
+  ServiceOptions options;
+  options.drain = true;
+  options.journalDir = dir;
+  Capture cap;
+  VerifyService service(options, cap.emit());
+  EXPECT_EQ(service.recoverJournal(), 1u);
+  service.shutdown();
+
+  EXPECT_EQ(cap.resultFor("old"), nullptr);
+  const auto failed = cap.ofType("job_failed");
+  ASSERT_EQ(failed.size(), 1u);
+  EXPECT_EQ(failed[0]->find("id")->textOr(""), "old");
+  EXPECT_NE(failed[0]->find("error")->textOr("").find(
+                "bad magic 'icbdd-bdd-v2'"),
+            std::string::npos);
+  const obs::MetricsRegistry metrics = service.metricsSnapshot();
+  EXPECT_EQ(metrics.counter("svc.jobs.failed"), 1u);
+  EXPECT_EQ(metrics.counter("svc.jobs.completed"), 0u);
+  EXPECT_TRUE(JobJournal(dir).recoverableRequests().empty());
+}
+
 TEST(SvcJournal, AtomicWritesAndRemove) {
   const std::string dir = uniqueDir("atomic");
   JobJournal journal(dir);
@@ -240,12 +276,12 @@ TEST(SvcJournal, AtomicWritesAndRemove) {
   EXPECT_NE(requests[0].find("\"id\":\"a\""), std::string::npos);
   EXPECT_NE(requests[1].find("\"id\":\"b\""), std::string::npos);
 
-  ASSERT_TRUE(journal.checkpointText("a").has_value());
-  EXPECT_EQ(*journal.checkpointText("a"), "ckpt-text");
-  EXPECT_FALSE(journal.checkpointText("b").has_value());
+  ASSERT_TRUE(journal.checkpointBytes("a").has_value());
+  EXPECT_EQ(*journal.checkpointBytes("a"), "ckpt-text");
+  EXPECT_FALSE(journal.checkpointBytes("b").has_value());
 
   journal.remove("a");
-  EXPECT_FALSE(journal.checkpointText("a").has_value());
+  EXPECT_FALSE(journal.checkpointBytes("a").has_value());
   EXPECT_EQ(journal.recoverableRequests().size(), 1u);
   journal.remove("b");
   EXPECT_TRUE(journal.recoverableRequests().empty());
