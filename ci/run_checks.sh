@@ -23,6 +23,9 @@ run_release() {
   ICBDD_CHECK_LEVEL=full ctest --test-dir build-werror --output-on-failure \
     -j "${jobs}"
   run_test_names build-werror
+  # The paper's termination procedure has no engine caller; this keeps it
+  # built and exercised against the tuple recursion (exit 1 on disagreement).
+  ./build-werror/bench/ablation_cofactor --depth 8
 }
 
 # gtest names a parameterized case after its parameter, printed as raw bytes

@@ -170,7 +170,12 @@ class BddManager {
 
   // ---- resource limits ----------------------------------------------------
 
-  void setLimits(const ResourceLimits& limits) { limits_ = limits; }
+  /// Installs `limits`; the next poll reads the clock, so a deadline that
+  /// has already passed fires at once.
+  void setLimits(const ResourceLimits& limits) {
+    limits_ = limits;
+    limitCheckCountdown_ = 0;
+  }
   [[nodiscard]] const ResourceLimits& limits() const { return limits_; }
   void clearLimits() { limits_ = ResourceLimits{}; }
 

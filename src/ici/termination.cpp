@@ -27,6 +27,133 @@ ScanVerdict constantAndComplementScan(std::vector<Edge>& d) {
   return ScanVerdict::kOpen;
 }
 
+/// Empty tuples of one ImplicationSearch, stored back to back as
+/// [n, e_1, ..., e_n] records in one flat arena and indexed by an
+/// open-addressing table of record offsets + 1 (0 marks a free slot).
+/// Cleared when the arena passes kMaxWords; the search is exact without it.
+class EmptyTupleMemo {
+ public:
+  /// Is the tuple t[0, n) stored?  When not and `add` is set, stores it.
+  bool find(const Edge* t, std::uint32_t n, bool add) {
+    if (add && words_.size() + n + 1 > kMaxWords) {
+      words_.clear();
+      slots_.assign(slots_.size(), 0);
+      count_ = 0;
+    }
+    if (add && 2 * ++count_ > slots_.size()) {
+      std::vector<std::uint32_t> old(std::max<std::size_t>(1024, 2 * slots_.size()));
+      old.swap(slots_);
+      for (const std::uint32_t slot : old) {
+        if (slot != 0) *probe(words_.data() + slot, words_[slot - 1]) = slot;
+      }
+    }
+    if (slots_.empty()) return false;
+    std::uint32_t* slot = probe(t, n);
+    if (*slot != 0) return true;
+    if (add) {
+      *slot = static_cast<std::uint32_t>(words_.size()) + 1;
+      words_.push_back(n);
+      words_.insert(words_.end(), t, t + n);
+    }
+    return false;
+  }
+
+ private:
+  static constexpr std::size_t kMaxWords = std::size_t{1} << 21;  // 8 MB
+
+  /// The slot holding t[0, n), or the free slot where it would go.
+  std::uint32_t* probe(const Edge* t, std::uint32_t n) {
+    std::uint64_t h = n;
+    for (std::uint32_t i = 0; i < n; ++i) h = (h ^ t[i]) * 0x9E3779B97F4A7C15ull;
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = (h ^ (h >> 32)) & mask;; i = (i + 1) & mask) {
+      if (slots_[i] == 0) return &slots_[i];
+      const Edge* rec = &words_[slots_[i] - 1];
+      if (rec[0] == n && std::equal(t, t + n, rec + 1)) return &slots_[i];
+    }
+  }
+
+  std::vector<Edge> words_;
+  std::vector<std::uint32_t> slots_;
+  std::size_t count_ = 0;
+};
+
+/// Decides X_1 & ... & X_n & !Y_k = 0 by a simultaneous Shannon recursion on
+/// the tuple of members, following arcs only.  The tuples of the recursion
+/// live back to back in tuple_, the current one at its end.
+class ImplicationSearch {
+ public:
+  ImplicationSearch(BddManager& mgr, TerminationStats& stats)
+      : mgr_(mgr), stats_(stats) {}
+
+  bool implies(const ConjunctList& x, Edge y) {
+    ++stats_.implicationChecks;
+    if (y == kTrueEdge) return true;
+    tuple_.clear();
+    for (const Bdd& xi : x) tuple_.push_back(xi.edge());
+    tuple_.push_back(edgeNot(y));
+    return isEmpty(0, 0);
+  }
+
+  bool implies(const ConjunctList& x, const ConjunctList& y) {
+    return std::all_of(y.begin(), y.end(),
+                       [&](const Bdd& yk) { return implies(x, yk.edge()); });
+  }
+
+ private:
+  /// Is the conjunction of tuple_[begin, end) unsatisfiable?  Normalizes
+  /// the tuple in place and may leave its children behind it.
+  bool isEmpty(std::size_t begin, std::uint64_t depth) {
+    ++stats_.tautologyCalls;
+    stats_.maxDepth = std::max(stats_.maxDepth, depth);
+    const auto first = tuple_.begin() + static_cast<std::ptrdiff_t>(begin);
+    auto last = std::remove(first, tuple_.end(), kTrueEdge);
+    if (std::find(first, last, kFalseEdge) != last) {
+      ++stats_.step1Hits;
+      return true;
+    }
+    // Sorting puts e next to !e: they differ only in the complement bit.
+    std::sort(first, last);
+    last = std::unique(first, last);
+    if (std::adjacent_find(first, last, [](Edge a, Edge b) {
+          return b == edgeNot(a);
+        }) != last) {
+      ++stats_.step2Hits;
+      return true;
+    }
+    tuple_.erase(last, tuple_.end());
+    const auto n = static_cast<std::uint32_t>(tuple_.size() - begin);
+    if (n <= 1) return false;  // TRUE, or one non-constant member
+    if (memo_.find(tuple_.data() + begin, n, false)) return true;
+
+    ++stats_.shannonExpansions;
+    mgr_.pollLimits();
+    unsigned top = BddManager::kTermLevel;
+    for (std::size_t i = begin; i < tuple_.size(); ++i) {
+      top = std::min(top, mgr_.edgeLevel(tuple_[i]));
+    }
+    for (const bool high : {true, false}) {
+      const std::size_t child = tuple_.size();
+      for (std::size_t i = begin; i < child; ++i) {
+        const Edge e = tuple_[i];
+        tuple_.push_back(mgr_.edgeLevel(e) != top ? e
+                         : high                   ? mgr_.edgeThen(e)
+                                                  : mgr_.edgeElse(e));
+      }
+      const bool empty = isEmpty(child, depth + 1);
+      tuple_.resize(child);
+      if (!empty) return false;  // the first satisfying path ends the search
+    }
+    (void)memo_.find(tuple_.data() + begin, n, true);
+    return true;
+  }
+
+  BddManager& mgr_;
+  TerminationStats& stats_;
+  std::vector<Edge> tuple_;
+  EmptyTupleMemo memo_;
+};
+
 }  // namespace
 
 bool TerminationChecker::disjunctionIsTautology(std::vector<Edge> disjuncts) {
@@ -167,18 +294,11 @@ unsigned TerminationChecker::chooseVar(const std::vector<Edge>& d) const {
 }
 
 bool TerminationChecker::implies(const ConjunctList& x, const Bdd& y) {
-  ++stats_.implicationChecks;
-  if (y.isOne()) return true;
-  std::vector<Edge> disjuncts;
-  disjuncts.reserve(x.size() + 1);
-  for (const Bdd& xi : x) disjuncts.push_back(edgeNot(xi.edge()));
-  disjuncts.push_back(y.edge());
-  return disjunctionIsTautology(std::move(disjuncts));
+  return ImplicationSearch(mgr_, stats_).implies(x, y.edge());
 }
 
 bool TerminationChecker::implies(const ConjunctList& x, const ConjunctList& y) {
-  return std::all_of(y.begin(), y.end(),
-                     [&](const Bdd& yk) { return implies(x, yk); });
+  return ImplicationSearch(mgr_, stats_).implies(x, y);
 }
 
 bool TerminationChecker::equal(const ConjunctList& candidateSubset,
@@ -187,9 +307,9 @@ bool TerminationChecker::equal(const ConjunctList& candidateSubset,
   if (candidateSubset.structurallyEqualUnordered(candidateSuperset)) {
     return true;
   }
-  if (!implies(candidateSuperset, candidateSubset)) return false;
-  if (options_.assumeMonotonic) return true;
-  return implies(candidateSubset, candidateSuperset);
+  ImplicationSearch search(mgr_, stats_);
+  return search.implies(candidateSuperset, candidateSubset) &&
+         search.implies(candidateSubset, candidateSuperset);
 }
 
 }  // namespace icb

@@ -3,9 +3,13 @@
 // Deciding G_i == G_{i+1} without building either conjunction decomposes as:
 //   X == Y   iff   X => Y and Y => X            (check both implications)
 //   X => Y   iff   X => Y_k for every k          (check each member)
-//   X => Y_k iff   !X_1 | ... | !X_n | Y_k is a tautology.
+//   X => Y_k iff   X_1 & ... & X_n & !Y_k = 0.
 //
-// The tautology test on an implicit disjunction runs these steps in order:
+// implies() and equal() decide the last line by one node-free recursion on
+// the tuple (X_1, ..., X_n, !Y_k), branching on its topmost level by
+// following arcs (termination.cpp).  disjunctionIsTautology() is the paper's
+// procedure on the dual form !X_1 | ... | !X_n | Y_k, kept as the test
+// oracle and for bench/ablation_cofactor:
 //   1. constant TRUE in the list => tautology; drop constant FALSEs;
 //   2. two complementary members => tautology (constant time thanks to
 //      complement edges); drop duplicates;
@@ -25,33 +29,31 @@
 
 namespace icb {
 
-/// Which variable step 4 cofactors on.  The paper uses kTopOfFirst and notes
-/// in Section V that better choices were not investigated; the alternatives
-/// exist for bench/ablation_cofactor.
+/// Which variable step 4 of disjunctionIsTautology cofactors on.  The paper
+/// uses kTopOfFirst and notes in Section V that better choices were not
+/// investigated; the alternatives exist for bench/ablation_cofactor.
 enum class CofactorChoice {
   kTopOfFirst,   ///< top variable of the first BDD in the list (the paper)
   kHighestLevel, ///< the globally topmost variable of any member
   kMostCommon,   ///< top variable shared by the most members
 };
 
+/// Knobs of disjunctionIsTautology only.
 struct TerminationOptions {
   CofactorChoice cofactorChoice = CofactorChoice::kTopOfFirst;
   /// Use the Theorem 3 Restrict shortcut for step 3.  When off, step 3 is
   /// the literal pairwise OR == TRUE scan.
   bool restrictShortcut = true;
-  /// Exploit monotonicity (G_{i+1} => G_i holds by construction), checking
-  /// only the other implication.  The paper notes "the current
-  /// implementation does not exploit this optimization", so this defaults
-  /// off; the engines can turn it on as an extension.
-  bool assumeMonotonic = false;
 };
 
+/// Counters of both procedures.  For implies()/equal() a "call" is one tuple
+/// visited and an expansion one branching on a tuple's topmost level.
 struct TerminationStats {
-  std::uint64_t tautologyCalls = 0;      ///< recursive step-1..4 invocations
-  std::uint64_t shannonExpansions = 0;   ///< step-4 activations
-  std::uint64_t step1Hits = 0;           ///< constant-TRUE-member conclusions
+  std::uint64_t tautologyCalls = 0;      ///< recursive calls (tuples visited)
+  std::uint64_t shannonExpansions = 0;   ///< Shannon expansions (branchings)
+  std::uint64_t step1Hits = 0;           ///< constant-member conclusions
   std::uint64_t step2Hits = 0;           ///< complement-pair conclusions
-  std::uint64_t step3Hits = 0;           ///< pairwise/Restrict conclusions
+  std::uint64_t step3Hits = 0;           ///< Theorem 3 conclusions (paper's only)
   std::uint64_t implicationChecks = 0;   ///< X => Y_k sub-problems
   std::uint64_t maxDepth = 0;            ///< deepest Shannon recursion
 };
@@ -63,18 +65,20 @@ class TerminationChecker {
                               const TerminationOptions& options = {})
       : mgr_(mgr), options_(options) {}
 
-  /// Is the disjunction of the given functions a tautology?
+  /// Is the disjunction of the given functions a tautology?  The paper's
+  /// procedure; it builds nodes, so callers keep the disjuncts referenced.
   [[nodiscard]] bool disjunctionIsTautology(std::vector<Edge> disjuncts);
 
-  /// Does the conjunction of X imply the single function y?
+  /// Does the conjunction of X imply the single function y?  Builds no
+  /// node; polls the manager's limits once per expansion, so a cap or a
+  /// cancellation throws ResourceLimitError from inside the recursion.
   [[nodiscard]] bool implies(const ConjunctList& x, const Bdd& y);
 
   /// Does the conjunction of X imply the conjunction of Y?
   [[nodiscard]] bool implies(const ConjunctList& x, const ConjunctList& y);
 
-  /// Exact semantic equality of two implicitly conjoined lists.
-  /// With options_.assumeMonotonic, `candidateSubset` is taken to already
-  /// imply `candidateSuperset` and only the reverse implication is checked.
+  /// Exact semantic equality of two implicitly conjoined lists: the
+  /// structural screen, then both implications, superset => subset first.
   [[nodiscard]] bool equal(const ConjunctList& candidateSubset,
                            const ConjunctList& candidateSuperset);
 

@@ -119,7 +119,9 @@ struct EngineOptions {
   const std::atomic<bool>* cancelFlag = nullptr;
 
   EvaluatePolicyOptions policy;     ///< XICI evaluation policy knobs
-  TerminationOptions termination;   ///< XICI exact-test knobs
+  /// Knobs of the paper's tautology procedure, which no engine calls.  Kept
+  /// only because paperbench/driver.cpp passes them to its checker.
+  TerminationOptions termination;
   ImageOptions image;               ///< forward-engine partitioning knobs
   CheckpointOptions checkpoint;     ///< periodic snapshot / resume hooks
 };

@@ -1,12 +1,37 @@
 #include "verif/xici_backward.hpp"
 
+#include <string>
+
+#include "check/check.hpp"
 #include "util/lint.hpp"
+#include "util/timer.hpp"
 #include "verif/engine_run.hpp"
 
 namespace icb {
 
+namespace {
+
+/// The monotonicity the convergence test relies on, G_iter => G_{iter-1},
+/// checked at ICBDD_CHECK_LEVEL=full with its time credited back to the
+/// deadline like the arena audit's.
+void checkMonotone(BddManager& mgr, const ConjunctList& next,
+                   const ConjunctList& current, unsigned iter) {
+  const Stopwatch watch;
+  const bool monotone = TerminationChecker(mgr).implies(next, current);
+  ResourceLimits limits = mgr.limits();
+  limits.deadline.extendBySeconds(watch.elapsedSeconds());
+  mgr.setLimits(limits);
+  if (!monotone) {
+    throw CheckFailure(ViolationKind::kDenotationChanged,
+                       "XICI G_" + std::to_string(iter) + " does not imply G_" +
+                           std::to_string(iter - 1));
+  }
+}
+
+}  // namespace
+
 EngineResult runXiciBackward(Fsm& fsm, const EngineOptions& options) {
-  TerminationChecker checker(fsm.mgr(), options.termination);
+  TerminationChecker checker(fsm.mgr());
 
   // Accumulates every Section III.A policy application of the run; captured
   // into the metrics registry once at run end so ratio gauges (best/worst
@@ -60,8 +85,13 @@ EngineResult runXiciBackward(Fsm& fsm, const EngineOptions& options) {
       run.endStep("back_image", [&] { return next.memberSizes(); });
 
       // Section III.B: exact termination test on the two implicit lists.
+      // G_{i+1} = G_0 & BackImage(G_i) implies G_i by construction (the
+      // monotonicity the paper leaves unexploited), so the lists are equal
+      // iff G_i => G_{i+1}.
+      ICBDD_CHECK(kFull, checkMonotone(mgr, next, current, run.iterations()));
       const TerminationStats termBefore = checker.stats();
-      const bool converged = checker.equal(next, current);
+      const bool converged = next.structurallyEqualUnordered(current) ||
+                             checker.implies(current, next);
       if (trace.enabled()) {
         const TerminationStats& t = checker.stats();
         trace.emit("termination",

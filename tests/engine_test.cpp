@@ -2,6 +2,14 @@
 // answers, including cross-engine agreement and resource-limit verdicts.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <functional>
+#include <ostream>
+#include <streambuf>
+#include <string>
+
+#include "check/check.hpp"
+#include "obs/trace.hpp"
 #include "sym/bitvector.hpp"
 #include "verif/counterexample.hpp"
 #include "verif/run_all.hpp"
@@ -157,13 +165,100 @@ TEST(Engines, XiciTerminationStatsPopulated) {
   EXPECT_GT(r.terminationStats.implicationChecks, 0u);
 }
 
-TEST(Engines, XiciMonotonicOptionAgrees) {
+TEST(Engines, XiciMonotoneCheckAtFullLevel) {
+  // XICI's convergence test checks only G_i => G_{i+1}; at kFull it also
+  // checks G_{i+1} => G_i, which a real chain always passes...
+  unsigned offIterations = 0;
+  for (const CheckLevel level : {CheckLevel::kOff, CheckLevel::kFull}) {
+    const test::ScopedCheckLevel scope(level);
+    BddManager mgr;
+    Counter c = makeCounter(mgr, 4, 9, true);
+    const EngineResult r = runXiciBackward(*c.fsm);
+    EXPECT_EQ(r.verdict, Verdict::kHolds);
+    if (level == CheckLevel::kOff) offIterations = r.iterations;
+    EXPECT_EQ(r.iterations, offIterations);
+  }
+
+  // ...and a chain resumed from forged layers fails.  With a toggling bit a
+  // and a constant bit b, G_0 = !b and the forged layer !b & !a give
+  // G_2 = !b & a, which does not imply !b & !a.
+  const test::ScopedCheckLevel scope(CheckLevel::kFull);
   BddManager mgr;
-  Counter c1 = makeCounter(mgr, 4, 9, true);
+  Fsm fsm(mgr);
+  VarManager& vars = fsm.vars();
+  const unsigned a = vars.addStateBit("a");
+  const unsigned b = vars.addStateBit("b");
+  fsm.setNext(a, !vars.cur(a));
+  fsm.setNext(b, vars.cur(b));
+  fsm.setInit((!vars.cur(a)) & (!vars.cur(b)));
+  fsm.addInvariant(!vars.cur(b));
+  EngineSnapshot forged;
+  forged.method = Method::kXici;
+  forged.iteration = 1;
+  forged.lists = {{!vars.cur(b)}, {!vars.cur(b)}, {(!vars.cur(b)) & (!vars.cur(a))}};
   EngineOptions options;
-  options.termination.assumeMonotonic = true;
-  const EngineResult r = runXiciBackward(*c1.fsm, options);
-  EXPECT_EQ(r.verdict, Verdict::kHolds);
+  options.checkpoint.resume = &forged;
+  EXPECT_THROW((void)runXiciBackward(fsm, options), CheckFailure);
+}
+
+/// Runs `onLine` on every trace line written through it.
+class TraceLineHook : public std::streambuf {
+ public:
+  explicit TraceLineHook(std::function<void(const std::string&)> onLine)
+      : onLine_(std::move(onLine)) {}
+
+ protected:
+  int overflow(int ch) override {
+    if (ch == '\n') {
+      onLine_(line_);
+      line_.clear();
+    } else if (ch != traits_type::eof()) {
+      line_.push_back(static_cast<char>(ch));
+    }
+    return ch;
+  }
+
+ private:
+  std::function<void(const std::string&)> onLine_;
+  std::string line_;
+};
+
+TEST(Engines, XiciCapsFireInsideTerminationTest) {
+  // The termination test builds no node, so mk() never polls the caps for
+  // it; it polls them once per expansion itself.  Cancel (or expire the
+  // deadline) as the first iteration closes: the next poll is the first
+  // expansion of that iteration's termination test.
+  const test::ScopedCheckLevel scope(CheckLevel::kOff);
+  for (const bool cancel : {true, false}) {
+    BddManager mgr;
+    Counter c = makeCounter(mgr, 4, 9, false);  // never converges syntactically
+    std::atomic<bool> cancelFlag{false};
+    bool terminationEvent = false;
+    TraceLineHook hook([&](const std::string& line) {
+      if (line.find("\"ev\":\"termination\"") != std::string::npos) {
+        terminationEvent = true;
+      }
+      if (line.find("\"ev\":\"phase_end\"") == std::string::npos) return;
+      if (cancel) {
+        cancelFlag.store(true);
+      } else {
+        ResourceLimits limits = mgr.limits();
+        limits.deadline = Deadline::afterSeconds(-1.0);
+        mgr.setLimits(limits);
+      }
+    });
+    std::ostream out(&hook);
+    obs::TraceSink sink(out);
+    EngineOptions options;
+    options.traceSink = &sink;
+    options.cancelFlag = &cancelFlag;
+    options.timeLimitSeconds = 600;
+    const EngineResult r = runXiciBackward(*c.fsm, options);
+    EXPECT_EQ(r.verdict, Verdict::kTimeLimit) << cancel;
+    EXPECT_EQ(r.iterations, 1u) << cancel;
+    EXPECT_FALSE(terminationEvent) << cancel;
+    EXPECT_EQ(r.terminationStats.shannonExpansions, 1u) << cancel;
+  }
 }
 
 TEST(Engines, MultiConjunctPropertyAllEnginesAgree) {

@@ -31,19 +31,6 @@ namespace {
 static_assert(sizeof(PackedNode) == 16,
               "the packed layout is the contract this suite pins down");
 
-/// Restores the process check level on scope exit (the suite shares one
-/// process; a leaked level would change every later test's behavior).
-class ScopedCheckLevel {
- public:
-  explicit ScopedCheckLevel(CheckLevel level) : saved_(checkLevel()) {
-    setCheckLevel(level);
-  }
-  ~ScopedCheckLevel() { setCheckLevel(saved_); }
-
- private:
-  CheckLevel saved_;
-};
-
 // ---------------------------------------------------------------------------
 // chunked arena: records live in fixed 1024-record chunks that are added on
 // growth and never moved, so everything below crosses several boundaries.
@@ -274,7 +261,7 @@ TEST(RefUnderflow, ThrowsUnderCheapChecking) {
   Bdd f = mgr.var(0) & mgr.var(1);
   const Edge e = f.edge();
 
-  const ScopedCheckLevel level(CheckLevel::kCheap);
+  const test::ScopedCheckLevel level(CheckLevel::kCheap);
   // First release is legitimate (f holds exactly one count)...
   NodeSurgeon::derefEdge(mgr, e);
   // ...the second is a double release and must be loud.
@@ -298,7 +285,7 @@ TEST(RefUnderflow, CountedSilentlyWhenCheckingIsOff) {
   Bdd f = mgr.var(0) | mgr.var(1);
   const Edge e = f.edge();
 
-  const ScopedCheckLevel level(CheckLevel::kOff);
+  const test::ScopedCheckLevel level(CheckLevel::kOff);
   const std::uint64_t before = mgr.stats().refUnderflows;
   NodeSurgeon::derefEdge(mgr, e);  // legitimate: drops 1 -> 0
   EXPECT_EQ(mgr.stats().refUnderflows, before);

@@ -1,7 +1,8 @@
-// Section III.B exact termination test: tautology checking on implicit
-// disjunctions, implication and equality between implicitly conjoined
-// lists -- validated against explicitly built conjunctions, across all
-// cofactor-choice strategies and with the Theorem 3 shortcut on and off.
+// Section III.B exact termination test: the paper's tautology procedure on
+// implicit disjunctions (every cofactor-choice strategy, Theorem 3 shortcut
+// on and off) and the node-free tuple recursion behind implies/equal --
+// each validated against explicitly built conjunctions and against the
+// other.
 #include <gtest/gtest.h>
 
 #include <type_traits>
@@ -171,19 +172,116 @@ TEST(Termination, Step3PairwiseTautology) {
       {a.edge(), (mgr.var(0) & mgr.var(2)).edge(), c.edge()}));
 }
 
-TEST(Termination, MonotonicModeSkipsOneDirection) {
+TEST(Termination, ImpliesIsOneDirectionOfEqual) {
   BddManager mgr;
   for (unsigned i = 0; i < 4; ++i) mgr.newVar();
-  TerminationOptions options;
-  options.assumeMonotonic = true;
-  TerminationChecker checker(mgr, options);
-  // subset really is a subset: monotone equality must hold only when the
-  // superset also implies the subset.
+  TerminationChecker checker(mgr);
+  // subset => superset holds, the converse does not: implies answers one
+  // direction, equal needs both.
   ConjunctList subset(&mgr, {mgr.var(0), mgr.var(1)});
   ConjunctList superset(&mgr, {mgr.var(0)});
+  EXPECT_TRUE(checker.implies(subset, superset));
+  EXPECT_FALSE(checker.implies(superset, subset));
   EXPECT_FALSE(checker.equal(subset, superset));
   ConjunctList same(&mgr, {mgr.var(0) & mgr.var(1)});
+  EXPECT_TRUE(checker.implies(same, subset));
   EXPECT_TRUE(checker.equal(subset, same));
+}
+
+// A random list of 2-8 members, decorated with the tuple recursion's corner
+// cases: TRUE and FALSE members, duplicates and complemented members.
+ConjunctList decoratedList(BddManager& mgr, unsigned nvars, Rng& rng) {
+  ConjunctList list = randomList(mgr, nvars, rng,
+                                 2 + static_cast<unsigned>(rng.below(7)));
+  switch (rng.below(6)) {
+    case 0: list.push(mgr.one()); break;
+    case 1: if (rng.below(3) == 0) list.push(mgr.zero()); break;
+    case 2: list.push(list[rng.below(list.size())]); break;
+    case 3: if (rng.below(3) == 0) list.push(!list[0]); break;
+    default: break;
+  }
+  return list;
+}
+
+/// The paper's procedure as the oracle: X => y iff !X_1 | ... | y is a
+/// tautology.
+bool oracleImplies(TerminationChecker& paper, const ConjunctList& x,
+                   const Bdd& y) {
+  std::vector<Edge> disjuncts;
+  for (const Bdd& xi : x) disjuncts.push_back(edgeNot(xi.edge()));
+  disjuncts.push_back(y.edge());
+  return paper.disjunctionIsTautology(disjuncts);
+}
+
+TEST(Termination, TupleRecursionAgreesWithPaperProcedureAndConjunction) {
+  int implied = 0;
+  int equalLists = 0;
+  std::uint64_t expansions = 0;
+  for (unsigned nvars = 8; nvars <= 12; ++nvars) {
+    BddManager mgr;
+    for (unsigned i = 0; i < nvars; ++i) mgr.newVar();
+    Rng rng(nvars * 131);
+    TerminationChecker checker(mgr);
+    TerminationChecker paper(mgr);
+    for (int round = 0; round < 40; ++round) {
+      const ConjunctList x = decoratedList(mgr, nvars, rng);
+      const Bdd conj = x.evaluate();
+      std::vector<Bdd> ys = {test::randomBdd(mgr, nvars, rng, 4), mgr.one(),
+                             mgr.zero(), x[rng.below(x.size())]};
+      ys.push_back(ys[0] | conj);  // biased toward implications
+      for (const Bdd& y : ys) {
+        const bool expected = conj.implies(y);
+        implied += expected ? 1 : 0;
+        EXPECT_EQ(oracleImplies(paper, x, y), expected) << nvars << "/" << round;
+        EXPECT_EQ(checker.implies(x, y), expected) << nvars << "/" << round;
+      }
+      // List against list: a reshuffled copy with a redundant member, an
+      // unrelated list, and the empty and single-member lists.
+      ConjunctList same(&mgr);
+      for (std::size_t i = x.size(); i-- > 0;) same.push(x[i]);
+      same.push(x[0] | test::randomBdd(mgr, nvars, rng, 2));
+      const ConjunctList single(&mgr, {conj});
+      for (const ConjunctList& y :
+           {same, decoratedList(mgr, nvars, rng), ConjunctList(&mgr), single}) {
+        const Bdd yConj = y.evaluate();
+        const bool expectImplies = conj.implies(yConj);
+        const bool expectEqual = conj == yConj;
+        equalLists += expectEqual ? 1 : 0;
+        bool oracle = true;
+        for (const Bdd& yk : y) oracle = oracle && oracleImplies(paper, x, yk);
+        EXPECT_EQ(oracle, expectImplies) << nvars << "/" << round;
+        EXPECT_EQ(checker.implies(x, y), expectImplies) << nvars << "/" << round;
+        EXPECT_EQ(checker.equal(x, y), expectEqual) << nvars << "/" << round;
+        EXPECT_EQ(checker.equal(y, x), expectEqual) << nvars << "/" << round;
+      }
+    }
+    expansions += checker.stats().shannonExpansions;
+  }
+  EXPECT_GT(implied, 600);
+  EXPECT_GT(equalLists, 400);
+  EXPECT_GT(expansions, 0u);
+}
+
+TEST(Termination, EqualCreatesNoNodes) {
+  BddManager mgr;
+  constexpr unsigned kVars = 10;
+  for (unsigned i = 0; i < kVars; ++i) mgr.newVar();
+  Rng rng(77);
+  TerminationChecker checker(mgr);
+  int equalCount = 0;
+  for (int round = 0; round < 30; ++round) {
+    const ConjunctList x = randomList(mgr, kVars, rng, 5);
+    ConjunctList y(&mgr);
+    for (const Bdd& c : x) y.push(c | test::randomBdd(mgr, kVars, rng, 2));
+    if (round % 2 == 0) y.push(x.evaluate());  // same set, other members
+    const std::uint64_t created = mgr.stats().nodesCreated;
+    const std::uint64_t allocated = mgr.allocatedNodes();
+    equalCount += checker.equal(x, y) ? 1 : 0;
+    EXPECT_EQ(mgr.stats().nodesCreated, created) << "round " << round;
+    EXPECT_EQ(mgr.allocatedNodes(), allocated) << "round " << round;
+  }
+  EXPECT_GE(equalCount, 15);
+  EXPECT_GT(checker.stats().shannonExpansions, 0u);
 }
 
 TEST(Termination, StatsAccumulate) {

@@ -1,14 +1,30 @@
-// Shared helpers for the test suite: truth-table oracles and random
-// function generation over small variable counts.
+// Shared helpers for the test suite: truth-table oracles, random function
+// generation over small variable counts, and a check-level scope.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "bdd/bdd.hpp"
+#include "check/check.hpp"
 #include "util/rng.hpp"
 
 namespace icb::test {
+
+/// Restores the process check level on scope exit (the suite shares one
+/// process; a leaked level would change every later test's behavior).
+class ScopedCheckLevel {
+ public:
+  explicit ScopedCheckLevel(CheckLevel level) : saved_(checkLevel()) {
+    setCheckLevel(level);
+  }
+  ~ScopedCheckLevel() { setCheckLevel(saved_); }
+  ScopedCheckLevel(const ScopedCheckLevel&) = delete;
+  ScopedCheckLevel& operator=(const ScopedCheckLevel&) = delete;
+
+ private:
+  CheckLevel saved_;
+};
 
 /// Full truth table of `f` over variables [0, nvars): 2^nvars entries,
 /// entry m is f evaluated with variable v = bit v of m.
