@@ -24,7 +24,8 @@ PINNED_FIELDS = ("verdict", "iterations", "peak_iterate_nodes",
 # Counters are omitted from a cell's metrics while zero, so an absent
 # counter compares equal only to an absent one.
 PINNED_COUNTERS = ("bdd.reorder.swaps", "bdd.reorder.saved_nodes",
-                   "bdd.nodes_created", "bdd.gc.runs")
+                   "bdd.nodes_created", "bdd.gc.runs",
+                   "bdd.cache.lookups", "bdd.cache.hits")
 
 
 def load(path):

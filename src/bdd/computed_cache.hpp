@@ -1,21 +1,24 @@
 // ComputedCache: the manager's lossy operation cache.
 //
-// A direct-mapped table (like ABC's vCache/CacheMask) with each entry spread
-// over three 64-bit words:
+// A direct-mapped table (like ABC's vCache/CacheMask) with each entry packed
+// into two 64-bit words:
 //
-//   key word a   bits 0..31  f        bits 32..63  g
-//   key word b   bits 0..31  h        bits 32..39  op
-//   result word  bits 0..31  result
+//   key word  bits 0..31  f       bits 32..63  g
+//   tail word bits 0..27  h       bits 28..31  op     bits 32..63  result
 //
-// A probe compares the full key words, so a false positive is impossible;
-// an insert always overwrites its slot.  The slot count and the hash decide
+// h fits 28 bits because NodeStore::kMaxIndex keeps every edge below 2^28,
+// and op 4 bits (both static_asserted in manager.hpp).  A probe compares the
+// key word and the tail's low half, so a false positive is impossible; an
+// insert always overwrites its slot.  The slot count and the hash decide
 // which entries evict each other, and with them the hit/miss counts in every
 // trace, stats, and bench line: change either only deliberately.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <cstdlib>
+#include <cstring>
+#include <new>
 
 #include "bdd/edge.hpp"
 
@@ -32,9 +35,21 @@ class ComputedCache {
     Edge result = 0;
   };
 
-  explicit ComputedCache(std::size_t entries) : slots_(entries) {}
+  static constexpr Edge kMaxH = (Edge{1} << 28) - 1;  ///< widest h edge
+  static constexpr std::uint32_t kMaxOp = 15;         ///< widest op tag
+  static constexpr std::size_t kSlotBytes = 16;       ///< bytes per entry
 
-  [[nodiscard]] std::size_t size() const { return slots_.size(); }
+  /// One zeroed calloc block: an all-zero slot is empty (op 0).
+  explicit ComputedCache(std::size_t entries)
+      : slots_(static_cast<Slot*>(std::calloc(entries, sizeof(Slot)))),
+        size_(entries) {
+    if (slots_ == nullptr) throw std::bad_alloc();
+  }
+  ~ComputedCache() { std::free(slots_); }
+  ComputedCache(const ComputedCache&) = delete;
+  ComputedCache& operator=(const ComputedCache&) = delete;
+
+  [[nodiscard]] std::size_t size() const { return size_; }
 
   /// Slot of a key at the current table size (a power of two): two mix64
   /// rounds over the packed key.
@@ -44,54 +59,53 @@ class ComputedCache {
         (static_cast<std::uint64_t>(f) << 32) | static_cast<std::uint64_t>(g);
     const std::uint64_t k2 = (static_cast<std::uint64_t>(h) << 8) |
                              static_cast<std::uint64_t>(op);
-    return (mix64(k1) ^ mix64(k2 * 0x9E3779B97F4A7C15ull)) &
-           (slots_.size() - 1);
+    return (mix64(k1) ^ mix64(k2 * 0x9E3779B97F4A7C15ull)) & (size_ - 1);
   }
 
   /// Probe.  Returns true and stores the result on an exact key hit.
   bool lookup(std::uint32_t op, Edge f, Edge g, Edge h, Edge* out) const {
     const Slot& s = slots_[slotOf(op, f, g, h)];
-    if (s.a != packA(f, g) || s.b != packB(h, op)) return false;
-    *out = static_cast<Edge>(s.result);
+    if (s.key != packKey(f, g) ||
+        static_cast<std::uint32_t>(s.tail) != packTag(h, op)) {
+      return false;
+    }
+    *out = static_cast<Edge>(s.tail >> 32);
     return true;
   }
 
   /// Stores an entry, overwriting whatever held its slot.
   void insert(std::uint32_t op, Edge f, Edge g, Edge h, Edge result) {
-    Slot& s = slots_[slotOf(op, f, g, h)];
-    s.a = packA(f, g);
-    s.b = packB(h, op);
-    s.result = result;
+    slots_[slotOf(op, f, g, h)] = pack(op, f, g, h, result);
   }
 
   // ---- slot-level surface (auditor, GC sweep, surgeon, resize) ------------
 
   [[nodiscard]] Entry entryAt(std::size_t slot) const {
     const Slot& s = slots_[slot];
-    Entry e;
-    e.f = static_cast<Edge>(s.a & 0xFFFFFFFFull);
-    e.g = static_cast<Edge>(s.a >> 32);
-    e.h = static_cast<Edge>(s.b & 0xFFFFFFFFull);
-    e.op = static_cast<std::uint32_t>((s.b >> 32) & 0xFFull);
-    e.result = static_cast<Edge>(s.result);
-    return e;
+    return Entry{static_cast<Edge>(s.key), static_cast<Edge>(s.key >> 32),
+                 static_cast<Edge>(s.tail) & kMaxH,
+                 static_cast<std::uint32_t>(s.tail >> 28) & kMaxOp,
+                 static_cast<Edge>(s.tail >> 32)};
   }
 
   void setEntryAt(std::size_t slot, const Entry& e) {
-    Slot& s = slots_[slot];
-    s.a = packA(e.f, e.g);
-    s.b = packB(e.h, e.op);
-    s.result = e.result;
+    slots_[slot] = pack(e.op, e.f, e.g, e.h, e.result);
   }
 
   void clearAt(std::size_t slot) { slots_[slot] = Slot{}; }
 
-  /// Doubles the table in place.  slotOf masks the hash with size-1, so an
-  /// entry at slot s belongs at s or s+n and no two entries collide: one
-  /// pass moves each, giving the layout of decoding and re-inserting all.
+  /// Doubles the table in place: realloc extends the block (large blocks
+  /// are remapped, not copied), so the old and the new table are never held
+  /// at once, and the new half is zeroed.  slotOf masks the hash with
+  /// size-1, so an entry at slot s belongs at s or s+n and no two entries
+  /// collide: one pass moves each, giving the layout of re-inserting all.
   void grow() {
-    const std::size_t n = slots_.size();
-    slots_.resize(2 * n);
+    const std::size_t n = size_;
+    void* grown = std::realloc(slots_, 2 * n * sizeof(Slot));
+    if (grown == nullptr) throw std::bad_alloc();
+    slots_ = static_cast<Slot*>(grown);
+    std::memset(slots_ + n, 0, n * sizeof(Slot));
+    size_ = 2 * n;
     for (std::size_t slot = 0; slot < n; ++slot) {
       const Entry e = entryAt(slot);
       if (e.op == 0) continue;
@@ -104,19 +118,21 @@ class ComputedCache {
 
  private:
   struct Slot {
-    std::uint64_t a = 0;       ///< f | g<<32
-    std::uint64_t b = 0;       ///< h | op<<32
-    std::uint64_t result = 0;  ///< result edge in the low 32 bits
+    std::uint64_t key;   ///< f | g<<32
+    std::uint64_t tail;  ///< h | op<<28 | result<<32
   };
-  static_assert(sizeof(Slot) == 24, "three words per cache entry");
+  static_assert(sizeof(Slot) == kSlotBytes, "two words per cache entry");
 
-  static std::uint64_t packA(Edge f, Edge g) {
+  static std::uint64_t packKey(Edge f, Edge g) {
     return static_cast<std::uint64_t>(f) |
            (static_cast<std::uint64_t>(g) << 32);
   }
-  static std::uint64_t packB(Edge h, std::uint32_t op) {
-    return static_cast<std::uint64_t>(h) |
-           (static_cast<std::uint64_t>(op & 0xFFu) << 32);
+  static std::uint32_t packTag(Edge h, std::uint32_t op) {
+    return h | ((op & kMaxOp) << 28);
+  }
+  static Slot pack(std::uint32_t op, Edge f, Edge g, Edge h, Edge result) {
+    return Slot{packKey(f, g), packTag(h, op) |
+                                   (static_cast<std::uint64_t>(result) << 32)};
   }
 
   /// 64-bit mix (Murmur3 finalizer).
@@ -129,7 +145,8 @@ class ComputedCache {
     return x;
   }
 
-  std::vector<Slot> slots_;
+  Slot* slots_;
+  std::size_t size_;
 };
 
 }  // namespace icb

@@ -125,7 +125,7 @@ Edge BddManager::mk(unsigned var, Edge hi, Edge lo) {
 
   checkResourceLimits();
 
-  // allocate() enforces the 31-bit Edge index space itself, throwing the
+  // allocate() enforces the 27-bit node index space itself, throwing the
   // typed kNodeIndexSpace error *before* touching any state -- the guard
   // that used to live here (and before that, nowhere: indices silently
   // wrapped through makeEdge past 2^31 nodes).  The variable's subtable
@@ -144,20 +144,6 @@ Edge BddManager::mk(unsigned var, Edge hi, Edge lo) {
 
 // ---------------------------------------------------------------------------
 // computed cache
-
-bool BddManager::cacheLookup(Op op, Edge f, Edge g, Edge h, Edge* out) {
-  BddOpCacheStats& opStats = stats_.opCache[static_cast<std::size_t>(op)];
-  ++opStats.lookups;
-  if (cache_.lookup(static_cast<std::uint32_t>(op), f, g, h, out)) {
-    ++opStats.hits;
-    return true;
-  }
-  return false;
-}
-
-void BddManager::cacheInsert(Op op, Edge f, Edge g, Edge h, Edge result) {
-  cache_.insert(static_cast<std::uint32_t>(op), f, g, h, result);
-}
 
 void BddManager::maybeGrowComputedCache() {
   const std::size_t ceiling = std::size_t{1}

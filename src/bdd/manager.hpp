@@ -414,6 +414,10 @@ class BddManager {
   // The decoded cache-entry shape (op as a raw integer) the cache class,
   // the auditor, and the surgeon hooks traffic in.
   using CacheEntry = ComputedCache::Entry;
+  static_assert(makeEdge(NodeStore::kMaxIndex, true) <= ComputedCache::kMaxH,
+                "every edge fits a cache entry's 28-bit h field");
+  static_assert(kBddOpCount <= ComputedCache::kMaxOp + 1,
+                "every op fits a cache entry's 4-bit op field");
 
   // reference counting (used by Bdd handles only)
   void ref(Edge e) { store_.ref(edgeIndex(e)); }
@@ -423,9 +427,18 @@ class BddManager {
   /// line because the escalation needs check/check.hpp.
   void deref(Edge e);
 
-  // computed cache
-  bool cacheLookup(Op op, Edge f, Edge g, Edge h, Edge* out);
-  void cacheInsert(Op op, Edge f, Edge g, Edge h, Edge result);
+  // computed cache, inline so the recursive workers probe it without a call
+  bool cacheLookup(Op op, Edge f, Edge g, Edge h, Edge* out) {
+    BddOpCacheStats& s = stats_.opCache[static_cast<std::size_t>(op)];
+    ++s.lookups;
+    const bool hit =
+        cache_.lookup(static_cast<std::uint32_t>(op), f, g, h, out);
+    s.hits += hit ? 1 : 0;
+    return hit;
+  }
+  void cacheInsert(Op op, Edge f, Edge g, Edge h, Edge result) {
+    cache_.insert(static_cast<std::uint32_t>(op), f, g, h, result);
+  }
   /// Doubles the computed cache, keeping its entries, while it holds fewer
   /// than kCacheEntriesPerNode entries per allocated node.
   void maybeGrowComputedCache();

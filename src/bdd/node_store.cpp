@@ -65,9 +65,8 @@ std::uint32_t NodeStore::allocate(unsigned var, Edge hi, Edge lo) {
   } else {
     // The cap check runs BEFORE the arena grows: on a throw nothing has
     // changed, so the caller's manager remains fully usable.  kMaxIndex
-    // (== kNil - 1) keeps every fresh index encodable in Edge's 31-bit
-    // index field and distinct from the null link -- a wrapped makeEdge()
-    // is structurally impossible, not merely checked.
+    // (2^27 - 1) keeps every fresh edge encodable in a cache entry's 28-bit
+    // h field and every index below the null link.
     if (size_ > indexCap_) {
       throw ResourceLimitError(ResourceKind::kNodeIndexSpace);
     }

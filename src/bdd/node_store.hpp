@@ -68,12 +68,10 @@ class NodeStore {
   static constexpr unsigned kMaxVar = kTermVar - 1;
   /// Null link of the unique-table chains and the free list.
   static constexpr std::uint32_t kNil = 0x7FFFFFFFu;
-  /// Largest allocatable node index: one below kNil, so a fresh index can
-  /// never collide with the null link nor overflow Edge's 31-bit index
-  /// field.  The old layout checked this at the caller (and an earlier
-  /// version not at all -- the arena-bounds bug this store fixes for good);
-  /// here allocate() enforces it unconditionally.
-  static constexpr std::uint32_t kMaxIndex = kNil - 1;
+  /// Largest allocatable node index: 2^27 - 1 (134 M nodes), so every edge
+  /// fits the computed cache's 28-bit h field, and a fresh index can never
+  /// reach the null link.  allocate() enforces it unconditionally.
+  static constexpr std::uint32_t kMaxIndex = (1u << 27) - 1;
   /// Saturating reference count (terminal and projection pins park here).
   static constexpr std::uint32_t kMaxRef =
       std::numeric_limits<std::uint32_t>::max();
@@ -240,7 +238,7 @@ class NodeStore {
   // ---- index-space cap -----------------------------------------------------
 
   /// Lowers the allocation cap below kMaxIndex so tests can drive the
-  /// index-space guard without building 2^31 nodes.
+  /// index-space guard without building 2^27 nodes.
   void setIndexCapForTesting(std::uint32_t cap) { indexCap_ = cap; }
 
  private:

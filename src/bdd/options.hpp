@@ -44,7 +44,7 @@ struct BddOptions {
 
 /// Which resource gave out first when a run is aborted.  kNodes is the
 /// *configured* ResourceLimits::maxNodes cap; kNodeIndexSpace is the
-/// structural ceiling of the 31-bit Edge index encoding (the arena can hold
+/// structural ceiling of the 27-bit node index space (the arena can hold
 /// no more nodes no matter what the limits say).
 enum class ResourceKind { kNodes, kTime, kCancelled, kNodeIndexSpace };
 
@@ -54,7 +54,7 @@ enum class ResourceKind { kNodes, kTime, kCancelled, kNodeIndexSpace };
     case ResourceKind::kTime: return "BDD deadline exceeded";
     case ResourceKind::kCancelled: return "BDD operation cancelled";
     case ResourceKind::kNodeIndexSpace:
-      return "BDD node index space exhausted (31-bit Edge encoding)";
+      return "BDD node index space exhausted (27-bit node index)";
   }
   return "BDD resource limit exceeded";
 }

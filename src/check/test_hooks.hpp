@@ -101,8 +101,8 @@ class NodeSurgeon {
     mgr.varEdges_[var] = e;
   }
 
-  /// Lowers the node-index cap so tests can trip the 31-bit index-space
-  /// guard without allocating anywhere near 2^31 nodes.
+  /// Lowers the node-index cap so tests can trip the 27-bit index-space
+  /// guard without allocating anywhere near 2^27 nodes.
   static void capNodeIndexSpace(BddManager& mgr, std::uint32_t cap) {
     mgr.store_.setIndexCapForTesting(cap);
   }

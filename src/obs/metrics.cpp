@@ -89,6 +89,10 @@ void MetricsRegistry::captureBdd(const BddManager& mgr) {
   add("bdd.cache.lookups", s.cacheLookups());
   add("bdd.cache.hits", s.cacheHits());
   add("bdd.cache.resizes", s.cacheResizes);
+  // The cache never shrinks, so its size at capture is the run's peak.
+  setGaugeMax("bdd.cache.bytes",
+              static_cast<double>(mgr.computedCacheEntries() *
+                                  ComputedCache::kSlotBytes));
   add("bdd.ref.underflow", s.refUnderflows);
   if (s.cacheLookups() > 0) {
     setGauge("bdd.cache.hit_rate", static_cast<double>(s.cacheHits()) /

@@ -39,7 +39,7 @@ enum class Verdict {
 [[nodiscard]] bool verdictExceeded(Verdict v);
 
 /// Verdict for a run cut short by a ResourceLimitError: node-capacity kinds
-/// (the configured cap and the 31-bit index-space ceiling) report kNodeLimit,
+/// (the configured cap and the 27-bit index-space ceiling) report kNodeLimit,
 /// everything else kTimeLimit.  Shared by every engine's catch block.
 [[nodiscard]] constexpr Verdict verdictForResourceLimit(ResourceKind kind) {
   return kind == ResourceKind::kNodes || kind == ResourceKind::kNodeIndexSpace

@@ -170,6 +170,43 @@ TEST(BddManagerBehaviour, CacheGrowKeepsEveryEntryAtItsRehashedSlot) {
   }
 }
 
+TEST(BddManagerBehaviour, CacheEntryRoundTripsAtEveryFieldsWidest) {
+  // An entry is two words: f | g<<32, and h | op<<28 | result<<32.  The
+  // widest h any edge reaches is the complemented edge of kMaxIndex.
+  const Edge wide = 0xFFFFFFFFu;
+  const Edge h = makeEdge(NodeStore::kMaxIndex, true);
+  const auto expectWidest = [&](const ComputedCache::Entry& e,
+                                std::uint32_t op) {
+    EXPECT_EQ(e.f, wide);
+    EXPECT_EQ(e.g, wide);
+    EXPECT_EQ(e.h, h);
+    EXPECT_EQ(e.op, op);
+    EXPECT_EQ(e.result, wide);
+  };
+  for (std::uint32_t op = 1; op < kBddOpCount; ++op) {
+    SCOPED_TRACE(op);
+    ComputedCache cache(64);
+    cache.insert(op, wide, wide, h, wide);
+    Edge out = 0;
+    ASSERT_TRUE(cache.lookup(op, wide, wide, h, &out));
+    EXPECT_EQ(out, wide);
+    const std::size_t slot = cache.slotOf(op, wide, wide, h);
+    const ComputedCache::Entry e = cache.entryAt(slot);
+    expectWidest(e, op);
+
+    ComputedCache copy(64);
+    copy.setEntryAt(slot, e);
+    expectWidest(copy.entryAt(slot), op);
+    ASSERT_TRUE(copy.lookup(op, wide, wide, h, &out));
+    EXPECT_EQ(out, wide);
+    // The op tag is part of the compared key, even beside the widest h.
+    ComputedCache::Entry other = e;
+    other.op = static_cast<std::uint32_t>(op % (kBddOpCount - 1) + 1);
+    copy.setEntryAt(slot, other);
+    EXPECT_FALSE(copy.lookup(op, wide, wide, h, &out));
+  }
+}
+
 TEST(BddManagerBehaviour, CacheStaysWithinItsFactorOfPeakAllocation) {
   BddOptions options;
   options.cacheBitsLog2 = 8;

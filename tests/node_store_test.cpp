@@ -1,5 +1,5 @@
 // NodeStore seam tests: the chunked arena, the packed 16-byte layout, the
-// 31-bit index-space guard, the deref-underflow guard, and cross-layout
+// 27-bit index-space guard, the deref-underflow guard, and cross-layout
 // persistence.
 //
 // The golden dumps below descend from files written by the PRE-packed node
@@ -216,7 +216,7 @@ TEST(NodeIndexSpace, AllocationPastCapThrowsTypedError) {
   keep.push_back(mgr.var(0) & mgr.var(1));
 
   // Lower the cap to just above the current arena so the guard trips after
-  // a handful of allocations instead of 2^31 of them.
+  // a handful of allocations instead of 2^27 of them.
   const std::uint32_t cap = NodeSurgeon::nodeCount(mgr) + 4;
   NodeSurgeon::capNodeIndexSpace(mgr, cap);
 
@@ -247,9 +247,12 @@ TEST(NodeIndexSpace, AllocationPastCapThrowsTypedError) {
 TEST(NodeIndexSpace, CapDefaultsToEdgeEncodingCeiling) {
   BddManager mgr;
   mgr.newVar();
-  // One below kNil: a fresh index can never collide with the null link nor
-  // overflow the 31-bit index field of Edge.
-  EXPECT_EQ(NodeStore::kMaxIndex, 0x7FFFFFFEu);
+  // 2^27 - 1 (134 M nodes): the largest edge, makeEdge(kMaxIndex, true),
+  // then fits the computed cache's 28-bit h field, which is what lets a
+  // cache entry be two words.  Every index also stays below kNil.
+  EXPECT_EQ(NodeStore::kMaxIndex, 0x07FFFFFFu);
+  EXPECT_EQ(makeEdge(NodeStore::kMaxIndex, true), 0x0FFFFFFFu);
+  EXPECT_LT(NodeStore::kMaxIndex, NodeStore::kNil);
 }
 
 // ---------------------------------------------------------------------------

@@ -69,16 +69,38 @@ TEST_P(TerminationSweep, TautologyAgreesWithExplicitDisjunction) {
   EXPECT_LT(tautCount, 55);
 }
 
-TEST_P(TerminationSweep, ImplicationAgreesWithExplicitConjunction) {
-  const auto [choice, shortcut, seed] = GetParam();
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, TerminationSweep,
+    ::testing::Values(
+        TermParam{CofactorChoice::kTopOfFirst, true, 1},
+        TermParam{CofactorChoice::kTopOfFirst, false, 2},
+        TermParam{CofactorChoice::kHighestLevel, true, 3},
+        TermParam{CofactorChoice::kHighestLevel, false, 4},
+        TermParam{CofactorChoice::kMostCommon, true, 5},
+        TermParam{CofactorChoice::kMostCommon, false, 6}),
+    [](const ::testing::TestParamInfo<TermParam>& paramInfo) {
+      std::string name;
+      switch (paramInfo.param.choice) {
+        case CofactorChoice::kTopOfFirst: name = "TopOfFirst"; break;
+        case CofactorChoice::kHighestLevel: name = "HighestLevel"; break;
+        case CofactorChoice::kMostCommon: name = "MostCommon"; break;
+      }
+      name += paramInfo.param.shortcut ? "Shortcut" : "Literal";
+      name += "s" + std::to_string(paramInfo.param.seed);
+      return name;
+    });
+
+// implies/equal run the node-free tuple recursion, which reads neither the
+// cofactor choice nor the Theorem-3 shortcut: these sweep seeds only.
+class ImplicationSweep : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ImplicationSweep, ImplicationAgreesWithExplicitConjunction) {
+  const std::uint64_t seed = GetParam();
   BddManager mgr;
   constexpr unsigned kVars = 8;
   for (unsigned i = 0; i < kVars; ++i) mgr.newVar();
   Rng rng(seed * 3 + 1);
-  TerminationOptions options;
-  options.cofactorChoice = choice;
-  options.restrictShortcut = shortcut != 0;
-  TerminationChecker checker(mgr, options);
+  TerminationChecker checker(mgr);
 
   int implCount = 0;
   for (int round = 0; round < 40; ++round) {
@@ -92,16 +114,13 @@ TEST_P(TerminationSweep, ImplicationAgreesWithExplicitConjunction) {
   EXPECT_GT(implCount, 3);
 }
 
-TEST_P(TerminationSweep, ListEqualityAgreesWithExplicitConjunctions) {
-  const auto [choice, shortcut, seed] = GetParam();
+TEST_P(ImplicationSweep, ListEqualityAgreesWithExplicitConjunctions) {
+  const std::uint64_t seed = GetParam();
   BddManager mgr;
   constexpr unsigned kVars = 8;
   for (unsigned i = 0; i < kVars; ++i) mgr.newVar();
   Rng rng(seed * 7 + 5);
-  TerminationOptions options;
-  options.cofactorChoice = choice;
-  options.restrictShortcut = shortcut != 0;
-  TerminationChecker checker(mgr, options);
+  TerminationChecker checker(mgr);
 
   int equalCount = 0;
   for (int round = 0; round < 30; ++round) {
@@ -124,24 +143,9 @@ TEST_P(TerminationSweep, ListEqualityAgreesWithExplicitConjunctions) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Sweep, TerminationSweep,
-    ::testing::Values(
-        TermParam{CofactorChoice::kTopOfFirst, true, 1},
-        TermParam{CofactorChoice::kTopOfFirst, false, 2},
-        TermParam{CofactorChoice::kHighestLevel, true, 3},
-        TermParam{CofactorChoice::kHighestLevel, false, 4},
-        TermParam{CofactorChoice::kMostCommon, true, 5},
-        TermParam{CofactorChoice::kMostCommon, false, 6}),
-    [](const ::testing::TestParamInfo<TermParam>& paramInfo) {
-      std::string name;
-      switch (paramInfo.param.choice) {
-        case CofactorChoice::kTopOfFirst: name = "TopOfFirst"; break;
-        case CofactorChoice::kHighestLevel: name = "HighestLevel"; break;
-        case CofactorChoice::kMostCommon: name = "MostCommon"; break;
-      }
-      name += paramInfo.param.shortcut ? "Shortcut" : "Literal";
-      name += "s" + std::to_string(paramInfo.param.seed);
-      return name;
+    Sweep, ImplicationSweep, ::testing::Range<std::uint64_t>(1, 7),
+    [](const ::testing::TestParamInfo<std::uint64_t>& paramInfo) {
+      return "s" + std::to_string(paramInfo.param);
     });
 
 TEST(Termination, TrivialCases) {
